@@ -50,6 +50,7 @@ from .partition import (
 )
 from .poly import (
     GaussianRational,
+    InvariantError,
     MultiPoly,
     gradient,
     jacobian_rank,

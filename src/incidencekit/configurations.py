@@ -16,7 +16,7 @@ from typing import Sequence
 from .cr import ComplexCurve, realify
 from .foliation import ContainmentResult, Hypersurface, containment_check, leaf_sample_points
 from .incidence import Configuration, build_matrix, certify_dof
-from .poly import GaussianRational, MultiPoly
+from .poly import GaussianRational, MultiPoly, check_invariant
 
 # Pythagorean-style unit offsets: rational points at exact distance 1
 _UNIT_OFFSETS = [
@@ -250,7 +250,7 @@ def gen_leaf_family(g: MultiPoly, count: int, seed: int = 0,
     for idx, c in enumerate(constants):
         leaf = ComplexCurve(z2 - g2 - MultiPoly.constant(c, 2))
         check = containment_check(Z, leaf)
-        assert check.status == "true", "leaf must be contained in the hypersurface"
+        check_invariant(check.status == "true", "leaf must be contained in the hypersurface")
         curves.append(leaf)
         z1_vals = [
             GaussianRational(

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import rank
-from .poly import GaussianRational, I_UNIT, MultiPoly, gradient
+from .poly import GaussianRational, I_UNIT, InvariantError, MultiPoly, gradient
 
 # Canonical bases of the two exceptional complex 2-planes in C^4.
 # PI1 = {a2 = -i a1, a4 = -i a3}; PI2 is its complex conjugate.
@@ -134,7 +134,7 @@ def classify_cr_vector(a: Sequence) -> CRClass:
                      (-I_UNIT, CRClass.DEPENDENT_MINUS_I)):
         if a[1] == -lam * a[0] and a[3] == -lam * a[2]:
             return tag
-    raise AssertionError("dependent CR vector with no witnessing lambda")
+    raise InvariantError("dependent CR vector with no witnessing lambda")
 
 
 class PiContainment(Enum):

@@ -25,8 +25,7 @@ from .cr import (
     tangent_contains_pi,
 )
 from .linalg import in_span, kernel_basis, rank, same_span
-from .poly import Fraction as _Fraction  # noqa: F401  (re-export convenience)
-from .poly import GaussianRational, MultiPoly, gradient
+from .poly import GaussianRational, MultiPoly, check_invariant, gradient
 
 
 class ExceptionalPointError(ValueError):
@@ -84,22 +83,23 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
         raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
     jg = j_apply(g)
     basis = kernel_basis([list(g), list(jg)])
-    if len(basis) != 2:
-        raise AssertionError("E_p must be two-dimensional")
+    check_invariant(len(basis) == 2, "E_p must be two-dimensional")
     frame = DistributionFrame(p, g, tuple(jg), tuple(tuple(v) for v in basis))
-    _assert_frame_invariants(frame)
+    _check_frame_invariants(frame)
     return frame
 
 
-def _assert_frame_invariants(frame: DistributionFrame):
+def _check_frame_invariants(frame: DistributionFrame):
+    """Raises InvariantError if the frame breaks an exact identity."""
     g, jg = frame.grad, frame.jgrad
-    assert sum(a * b for a, b in zip(g, jg)) == 0
+    check_invariant(sum(a * b for a, b in zip(g, jg)) == 0, "grad P must be orthogonal to J grad P")
     for v in frame.e_basis:
-        assert sum(a * b for a, b in zip(v, g)) == 0
-        assert sum(a * b for a, b in zip(v, jg)) == 0
-    assert rank(list(frame.e_basis)) == 2
+        check_invariant(sum(a * b for a, b in zip(v, g)) == 0, "E_p must be orthogonal to grad P")
+        check_invariant(sum(a * b for a, b in zip(v, jg)) == 0,
+                        "E_p must be orthogonal to J grad P")
+    check_invariant(rank(list(frame.e_basis)) == 2, "E_p must be two-dimensional")
     jspan = [list(j_apply(v)) for v in frame.e_basis]
-    assert same_span(list(frame.e_basis), jspan), "E_p must be J-invariant"
+    check_invariant(same_span(list(frame.e_basis), jspan), "E_p must be J-invariant")
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def leaf_tangency_check(
             continue
         try:
             frame = distribution_frame(Z, p)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:  # singular or exceptional point: inapplicable
             records.append(TangencyRecord(p, "skip", str(exc)))
             continue
         tangent = kernel_basis([gu, gv])

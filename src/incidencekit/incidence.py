@@ -209,9 +209,7 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
         p = config.points[i]
         if i != last_point:
             cache, last_point = {}, i
-        val = config.curves[j].evaluate(p, _cache=cache)
-        hit = val.is_zero if isinstance(val, GaussianRational) else val == 0
-        if not hit:
+        if config.curves[j].evaluate(p, _cache=cache):
             continue
         if check:
             if j not in embedded:

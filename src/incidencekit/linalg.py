@@ -2,7 +2,8 @@
 
 Rank and kernels use fraction-free (Bareiss-style) elimination with a
 deterministic pivot rule (first nonzero entry in row-major scan order),
-so results are reproducible and independent of evaluation order.
+so results are reproducible and independent of evaluation order.  Entries
+are Fraction or GaussianRational; plain operators mix them (see `poly`).
 """
 
 from __future__ import annotations
@@ -10,31 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Coef, GaussianRational, MultiPoly, coef_is_zero
+from .poly import Coef, GaussianRational, MultiPoly
 
 
 def _as_field(x) -> Coef:
     if isinstance(x, (Fraction, GaussianRational)):
         return x
     return Fraction(x)
-
-
-def _div(a: Coef, b: Coef) -> Coef:
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) / GaussianRational.coerce(b)
-    return a / b
-
-
-def _mul(a: Coef, b: Coef) -> Coef:
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) * GaussianRational.coerce(b)
-    return a * b
-
-
-def _sub(a: Coef, b: Coef) -> Coef:
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) - GaussianRational.coerce(b)
-    return a - b
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -48,7 +31,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     for col in range(n_cols):
         pivot_row = None
         for i in range(r, n_rows):
-            if not coef_is_zero(m[i][col]):
+            if m[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
@@ -57,8 +40,7 @@ def rank(rows: Sequence[Sequence]) -> int:
         pivot = m[r][col]
         for i in range(r + 1, n_rows):
             for j in range(col + 1, n_cols):
-                num = _sub(_mul(pivot, m[i][j]), _mul(m[i][col], m[r][j]))
-                m[i][j] = _div(num, prev)
+                m[i][j] = (pivot * m[i][j] - m[i][col] * m[r][j]) / prev
             m[i][col] = Fraction(0)
         prev = pivot
         r += 1
@@ -78,18 +60,18 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     for col in range(n_cols):
         pivot_row = None
         for i in range(r, n_rows):
-            if not coef_is_zero(m[i][col]):
+            if m[i][col]:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_pivot = _div(Fraction(1), m[r][col])
-        m[r] = [_mul(x, inv_pivot) for x in m[r]]
+        inv_pivot = Fraction(1) / m[r][col]
+        m[r] = [x * inv_pivot for x in m[r]]
         for i in range(n_rows):
-            if i != r and not coef_is_zero(m[i][col]):
+            if i != r and m[i][col]:
                 f = m[i][col]
-                m[i] = [_sub(a, _mul(f, b)) for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
         if r == n_rows:
@@ -144,58 +126,18 @@ def det(rows: Sequence[Sequence]) -> Coef:
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
-        if coef_is_zero(m[k][k]):
-            swap = next(
-                (i for i in range(k + 1, n) if not coef_is_zero(m[i][k])), None
-            )
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
             if swap is None:
                 return Fraction(0)
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = _sub(_mul(m[k][k], m[i][j]), _mul(m[i][k], m[k][j]))
-                m[i][j] = _div(num, prev)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return -result if sign < 0 else result
-
-
-def minor_rank(rows: Sequence[Sequence]) -> int:
-    """Rank via exhaustive nonzero-minor search (independent oracle; only
-    sensible for small matrices)."""
-    from itertools import combinations
-
-    m = [[_as_field(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    for k in range(min(n_rows, n_cols), 0, -1):
-        for ri in combinations(range(n_rows), k):
-            for ci in combinations(range(n_cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                if not coef_is_zero(_perm_det(sub)):
-                    return k
-    return 0
-
-
-def _perm_det(m):
-    from itertools import permutations
-
-    n = len(m)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for parity
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        prod: Coef = Fraction(1) if inv % 2 == 0 else Fraction(-1)
-        for i in range(n):
-            prod = _mul(prod, m[i][perm[i]])
-        total = _sub(total, _mul(Fraction(-1), prod))
-    return total
 
 
 def bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:

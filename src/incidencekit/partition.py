@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -101,7 +101,7 @@ class CutResult:
     counts: list[tuple[int, int, int]]  # per set: (neg, zero, pos)
     strict_ok: bool  # every side <= ceil(n/2)
     delta_ok: bool
-    restarts_used: int
+    restarts_used: int  # attempts spent on this cut
 
 
 def _exact_projections(lifted_sets, normal):
@@ -533,10 +533,12 @@ def ham_sandwich_bisect(
             best = result
         # give strict balance a fair shot, then settle for the tolerance
         if best.delta_ok and attempt + 1 >= min(60, restarts):
-            return best
+            return replace(best, restarts_used=attempt + 1)
 
-    if best is not None and best.delta_ok:
-        return best
+    if best is not None:
+        best = replace(best, restarts_used=max(restarts, 1))
+        if best.delta_ok:
+            return best
     raise BudgetExhaustedError(
         f"no cut met the imbalance tolerance after {restarts} restarts", best
     )

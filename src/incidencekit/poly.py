@@ -2,8 +2,12 @@
 
 Coefficients are `fractions.Fraction` (rationals) or `GaussianRational`
 (complex numbers with rational real and imaginary parts).  Mixing the two
-promotes to GaussianRational.  All arithmetic is exact; polynomials are
-immutable after construction.
+promotes to GaussianRational through Python's numeric protocol: Fraction's
+operators return NotImplemented for a GaussianRational, so Python falls
+through to GaussianRational's reflected operators, which coerce.  Code
+therefore writes plain `+ - * /` on coefficients and tests zero with
+`bool`.  All arithmetic is exact; polynomials are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -82,6 +86,18 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) / self
 
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("negative powers of a GaussianRational are not supported")
+        result, base = GaussianRational(1), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
@@ -108,6 +124,18 @@ class GaussianRational:
 
 I_UNIT = GaussianRational(0, 1)
 
+
+class InvariantError(RuntimeError):
+    """An exact invariant failed: a bug in the code, never an inapplicable
+    input, so callers must not turn it into a "skip"."""
+
+
+def check_invariant(ok: bool, message: str) -> None:
+    """Raise InvariantError unless `ok`; unlike `assert`, survives `python -O`."""
+    if not ok:
+        raise InvariantError(message)
+
+
 Coef = Union[Fraction, GaussianRational]
 Scalar = Union[int, Fraction, GaussianRational]
 
@@ -120,24 +148,6 @@ def _coerce_scalar(value) -> Coef:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
-def _add_coef(a: Coef, b: Coef) -> Coef:
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) + GaussianRational.coerce(b)
-    return a + b
-
-
-def _mul_coef(a: Coef, b: Coef) -> Coef:
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        return GaussianRational.coerce(a) * GaussianRational.coerce(b)
-    return a * b
-
-
-def coef_is_zero(c: Coef) -> bool:
-    if isinstance(c, GaussianRational):
-        return c.is_zero
-    return c == 0
 
 
 def _term_key(exp):
@@ -159,7 +169,7 @@ class MultiPoly:
             if any(e < 0 for e in exp):
                 raise ValueError("exponents must be non-negative")
             c = _coerce_scalar(coef)
-            if not coef_is_zero(c):
+            if c:
                 clean[exp] = c
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "terms", clean)
@@ -227,11 +237,11 @@ class MultiPoly:
         self._check_same_vars(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
-            s = _add_coef(terms.get(exp, Fraction(0)), coef)
-            if coef_is_zero(s):
-                terms.pop(exp, None)
-            else:
+            s = terms.get(exp, Fraction(0)) + coef
+            if s:
                 terms[exp] = s
+            else:
+                terms.pop(exp, None)
         return MultiPoly(self.num_vars, terms)
 
     __radd__ = __add__
@@ -250,21 +260,19 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _coerce_scalar(other)
-            if coef_is_zero(c):
+            if not c:
                 return MultiPoly.zero(self.num_vars)
-            return MultiPoly(
-                self.num_vars, {e: _mul_coef(k, c) for e, k in self.terms.items()}
-            )
+            return MultiPoly(self.num_vars, {e: k * c for e, k in self.terms.items()})
         self._check_same_vars(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = _add_coef(terms.get(exp, Fraction(0)), _mul_coef(c1, c2))
-                if coef_is_zero(s):
-                    terms.pop(exp, None)
-                else:
+                s = terms.get(exp, Fraction(0)) + c1 * c2
+                if s:
                     terms[exp] = s
+                else:
+                    terms.pop(exp, None)
         return MultiPoly(self.num_vars, terms)
 
     __rmul__ = __mul__
@@ -284,18 +292,7 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.num_vars != other.num_vars:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        for exp, coef in self.terms.items():
-            oc = other.terms[exp]
-            if isinstance(coef, GaussianRational) or isinstance(oc, GaussianRational):
-                if GaussianRational.coerce(coef) != GaussianRational.coerce(oc):
-                    return False
-            elif coef != oc:
-                return False
-        return True
+        return self.num_vars == other.num_vars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.num_vars, frozenset(self.terms.items())))
@@ -322,10 +319,10 @@ class MultiPoly:
                 mono: Coef = Fraction(1)
                 for x, e in zip(point, exp):
                     if e:
-                        mono = _mul_coef(mono, x**e if isinstance(x, Fraction) else _pow_coef(x, e))
+                        mono = mono * x**e
                 if _cache is not None:
                     _cache[exp] = mono
-            total = _add_coef(total, _mul_coef(coef, mono))
+            total = total + coef * mono
         return total
 
     def partial(self, var: int) -> "MultiPoly":
@@ -338,7 +335,7 @@ class MultiPoly:
             if e == 0:
                 continue
             new = exp[:var] + (e - 1,) + exp[var + 1:]
-            terms[new] = _add_coef(terms.get(new, Fraction(0)), _mul_coef(coef, Fraction(e)))
+            terms[new] = terms.get(new, Fraction(0)) + coef * e
         return MultiPoly(self.num_vars, terms)
 
     def substitute(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":
@@ -414,20 +411,15 @@ class MultiPoly:
             q_exp = tuple(a - b for a, b in zip(r_exp, lt_exp))
             if any(e < 0 for e in q_exp):
                 raise ValueError("inexact polynomial division")
-            q_coef = (
-                GaussianRational.coerce(r_coef) / GaussianRational.coerce(lt_coef)
-                if isinstance(r_coef, GaussianRational)
-                or isinstance(lt_coef, GaussianRational)
-                else r_coef / lt_coef
-            )
+            q_coef = r_coef / lt_coef
             quot[q_exp] = q_coef
             for d_exp, d_coef in divisor.terms.items():
                 exp = tuple(a + b for a, b in zip(q_exp, d_exp))
-                s = _add_coef(rem_terms.get(exp, Fraction(0)), -_mul_coef(q_coef, d_coef))
-                if coef_is_zero(s):
-                    rem_terms.pop(exp, None)
-                else:
+                s = rem_terms.get(exp, Fraction(0)) - q_coef * d_coef
+                if s:
                     rem_terms[exp] = s
+                else:
+                    rem_terms.pop(exp, None)
         return MultiPoly(self.num_vars, quot)
 
     # -- normalization -----------------------------------------------------
@@ -505,13 +497,6 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def _pow_coef(x: Coef, e: int) -> Coef:
-    result: Coef = Fraction(1)
-    for _ in range(e):
-        result = _mul_coef(result, x)
-    return result
-
-
 def coef_to_obj(coef: Coef):
     if isinstance(coef, GaussianRational):
         if coef.im == 0:
@@ -557,9 +542,9 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     fc = f.as_univariate(var)
     gc = g.as_univariate(var)
     if df <= 0:
-        return _pow_poly(fc[0], dg)
+        return fc[0] ** dg
     if dg <= 0:
-        return _pow_poly(gc[0], df)
+        return gc[0] ** df
     size = df + dg
     zero = MultiPoly.zero(nv)
     rows = []
@@ -576,13 +561,6 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     from .linalg import bareiss_det_poly
 
     return bareiss_det_poly(rows)
-
-
-def _pow_poly(p: MultiPoly, n: int) -> MultiPoly:
-    out = MultiPoly.constant(1, p.num_vars)
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 def jacobian_rank(polys: Iterable[MultiPoly], point: Sequence[Scalar]) -> int:
@@ -643,11 +621,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 c = right.terms.get((0,) * nv)
                 if c is None:
                     raise ZeroDivisionError("division by zero")
-                if isinstance(c, GaussianRational):
-                    inv = GaussianRational(1) / c
-                else:
-                    inv = Fraction(1) / c
-                return left * inv
+                return left * (1 / c)
             raise ValueError(f"unsupported operator {node.op!r}")
         if isinstance(node, ast.UnaryOp):
             val = walk(node.operand)

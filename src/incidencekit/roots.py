@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .poly import MultiPoly
+from .poly import MultiPoly, check_invariant
 
 REFINE_WIDTH = Fraction(1, 2**30)
 
@@ -79,7 +79,7 @@ def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(g) <= 1:
         return coeffs
     q, r = _poly_div(coeffs, g)
-    assert not r, "squarefree division must be exact"
+    check_invariant(not r, "squarefree division must be exact")
     return q
 
 

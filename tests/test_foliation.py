@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from incidencekit import foliation
 from incidencekit.cr import ComplexCurve, j_apply
 from incidencekit.foliation import (
     FrameDegenerateError,
@@ -21,7 +22,7 @@ from incidencekit.foliation import (
     tangent_frame_fields,
 )
 from incidencekit.linalg import in_span, rank, same_span
-from incidencekit.poly import GaussianRational, I_UNIT, MultiPoly
+from incidencekit.poly import GaussianRational, I_UNIT, InvariantError, MultiPoly
 
 X1, Y1, X2, Y2 = (MultiPoly.variable(i, 4) for i in range(4))
 Z1 = MultiPoly.variable(0, 2)
@@ -252,6 +253,16 @@ class TestLeafTangency:
         records = leaf_tangency_check(Z, curve, [[1, 1, 99, 1]])
         assert records[0].status == "skip"
         assert "curve" in records[0].reason
+
+    def test_broken_frame_invariant_raises(self, monkeypatch):
+        # a wrong kernel, span{e1, e3}, is neither orthogonal to grad P nor
+        # J-invariant; the broken invariant must surface, not become a "skip"
+        Z = Hypersurface(Y2 - Y1)
+        curve = ComplexCurve(MultiPoly.variable(1, 2) - Z1)
+        e1, e3 = [Fraction(1), 0, 0, 0], [0, 0, Fraction(1), 0]
+        monkeypatch.setattr(foliation, "kernel_basis", lambda rows, n_cols=None: [e1, e3])
+        with pytest.raises(InvariantError):
+            leaf_tangency_check(Z, curve, [[1, 2, 1, 2]])
 
 
 class TestContainment:

@@ -1,5 +1,6 @@
 """Exact linear algebra: fraction-free rank, kernels, determinants."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from incidencekit.linalg import (
     det,
     in_span,
     kernel_basis,
-    minor_rank,
     rank,
     rref,
     same_span,
@@ -104,9 +104,21 @@ class TestDet:
         assert det(m) == 0
 
 
-def _perm_det_oracle(m):
-    import itertools
+def minor_rank(m):
+    """Rank via exhaustive nonzero-minor search (independent oracle; only
+    sensible for small matrices)."""
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for ri in itertools.combinations(range(n_rows), k):
+            for ci in itertools.combinations(range(n_cols), k):
+                if _perm_det_oracle([[m[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
 
+
+def _perm_det_oracle(m):
     n = len(m)
     total = Fraction(0)
     for perm in itertools.permutations(range(n)):

@@ -102,6 +102,14 @@ class TestHamSandwich:
             n = neg + zero + pos
             assert max(neg, pos) <= math.ceil(math.ceil(n / 2) * 1.1)
 
+    def test_fallback_reports_attempts_spent(self):
+        # no single threshold bisects both sets, so every attempt falls back
+        a = [(Fraction(x),) for x in (0, 1, 2, 3)]
+        b = [(Fraction(x),) for x in (10, 11, 12, 13)]
+        cut = ham_sandwich_bisect([a, b], delta=1.0, restarts=3)
+        assert not cut.strict_ok and cut.delta_ok
+        assert cut.restarts_used == 3
+
     def test_determinism(self):
         sets = [uniform_points(50, s) for s in (1, 2)]
         c1 = ham_sandwich_bisect(sets, seed=7)

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: polynomials, derivatives, resultants."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -52,6 +53,26 @@ class TestGaussianRational:
 
     def test_i_squared(self):
         assert I_UNIT * I_UNIT == GaussianRational(-1)
+
+    def test_power_matches_repeated_multiplication(self):
+        z = GaussianRational(Fraction(-2, 3), Fraction(5, 7))
+        expected = GaussianRational(1)
+        for e in range(6):
+            assert z**e == expected
+            assert isinstance(z**e, GaussianRational)
+            expected = expected * z
+        with pytest.raises(ValueError):
+            z ** -1
+
+    def test_fraction_on_left_promotes(self):
+        # Fraction's operators return NotImplemented for a GaussianRational,
+        # so Python falls through to the reflected GaussianRational operator
+        a = Fraction(-3, 4)
+        for z in (GaussianRational(Fraction(1, 2), Fraction(3)), GaussianRational(5, 0)):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                result = op(a, z)
+                assert type(result) is GaussianRational
+                assert result == op(GaussianRational.coerce(a), z)
 
     def test_conjugation_involution(self):
         rng = random.Random(7)
@@ -288,9 +309,15 @@ class TestSerialization:
 
     def test_equal_polys_serialize_identically(self):
         x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
-        a = x * y + x * x
-        b = x * x + y * x
-        assert a.to_json() == b.to_json()
+        pairs = [
+            (x * y + x * x, x * x + y * x),
+            # a real coefficient held as Fraction or as GaussianRational
+            (MultiPoly(2, {(1, 0): Fraction(3)}), MultiPoly(2, {(1, 0): GaussianRational(3, 0)})),
+        ]
+        for a, b in pairs:
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+            assert a.to_json() == b.to_json()
 
     def test_schema_shape(self):
         x = MultiPoly.variable(0, 2)
