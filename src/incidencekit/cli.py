@@ -3,17 +3,27 @@
 Exit codes: 0 success/certified, 1 property violated, 2 input error,
 3 indeterminate/budget exhausted.  All randomness flows from --seed
 (default 0, never entropy); every output file gets a sidecar manifest and
-reruns from a manifest reproduce outputs byte-for-byte.
+reruns from a manifest reproduce outputs byte-for-byte.  A manifest records
+each input file's sha256 and its path relative to the manifest, so a rerun
+finds its inputs from any working directory and refuses (exit 2) to run on
+an input that changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+
+try:  # as in `random`: hashlib loads OpenSSL (about 4 MiB resident), so
+    # prefer CPython's lean built-in module where it exists (up to 3.11)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import __version__
 from .configurations import GeneratorSpec, LeafFamily, generate
@@ -55,14 +65,26 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
+def _sha256(path: Path) -> str:
+    return sha256(path.read_bytes()).hexdigest()
+
+
 def _write_manifest(out_path: Path, command: str, params: dict,
-                    inputs: list[str], started: float):
+                    inputs: tuple[str, ...], started: float):
+    """`inputs` names the params that are input files; each is recorded with
+    its sha256 and its path relative to the manifest's directory."""
+    base = out_path.resolve().parent
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "params": params,
         "seed": params.get("seed", 0),
-        "inputs": sorted(inputs),
+        "inputs": [
+            {"param": key,
+             "path": Path(os.path.relpath(Path(params[key]).resolve(), base)).as_posix(),
+             "sha256": _sha256(Path(params[key]))}
+            for key in sorted(inputs)
+        ],
         "outputs": [out_path.name],
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
@@ -124,7 +146,7 @@ def cmd_generate(args) -> int:
         _write(out, _dump_json(obj))
     else:
         _write(out, result.to_json() + "\n")
-    _write_manifest(out, "generate", params, [], started)
+    _write_manifest(out, "generate", params, (), started)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -151,7 +173,7 @@ def cmd_count(args) -> int:
         out, "count",
         {"config": args.config, "format": args.format, "seed": args.seed,
          "threads": args.threads, "matrix_csv": args.matrix_csv},
-        [args.config], started,
+        ("config",), started,
     )
     print(f"I = {matrix.count}")
     return EXIT_OK
@@ -172,7 +194,7 @@ def cmd_certify(args) -> int:
         out, "certify",
         {"config": args.config, "k": args.k, "s": args.s, "seed": args.seed,
          "threads": args.threads},
-        [args.config], started,
+        ("config",), started,
     )
     if cert.status == "certified":
         print("certified")
@@ -211,7 +233,7 @@ def cmd_partition(args) -> int:
         {"config": args.config, "r": args.r, "delta": args.delta,
          "restarts": args.restarts, "seed": args.seed,
          "format": args.format, "threads": args.threads},
-        [args.config], started,
+        ("config",), started,
     )
     max_class = max(result.occupancy.values(), default=0)
     print(f"classes={result.achieved_classes} max_class={max_class} "
@@ -281,7 +303,7 @@ def cmd_foliate(args) -> int:
         out, "foliate",
         {"hypersurface": args.hypersurface, "curves": args.curves,
          "seed": args.seed, "format": args.format, "threads": args.threads},
-        [args.hypersurface, args.curves], started,
+        ("hypersurface", "curves"), started,
     )
     print(f"{len(records)} records; failures={any_fail}")
     return EXIT_VIOLATED if any_fail else EXIT_OK
@@ -296,7 +318,7 @@ def cmd_bound(args) -> int:
         out, "bound",
         {"m": args.m, "n": args.n, "k": args.k, "s": args.s,
          "eps": args.eps, "i": args.i, "seed": args.seed},
-        [], started,
+        (), started,
     )
     print(f"ps={report.ps_value:.6g} ps_complex={report.ps_complex_value:.6g} "
           f"kst={report.kst_value:.6g}")
@@ -320,17 +342,40 @@ def cmd_fit(args) -> int:
     _write(out, _dump_json(fit.to_obj()))
     _write_manifest(
         out, "fit", {"series": args.series, "seed": args.seed},
-        [args.series], started,
+        ("series",), started,
     )
     print(f"a={fit.a:.6f} b={fit.b:.6f} residual={fit.residual:.3g}"
           + (" (combined)" if fit.combined else ""))
     return EXIT_OK
 
 
+def _verified_inputs(manifest: dict, base: Path) -> dict:
+    """param -> input path resolved against the manifest's directory `base`,
+    after checking each file against its recorded sha256."""
+    resolved = {}
+    try:
+        for entry in manifest["inputs"]:
+            path = base / entry["path"]
+            try:
+                digest = _sha256(path)
+            except OSError as exc:
+                raise InputError(f"cannot read input {path}: {exc}") from exc
+            if digest != entry["sha256"]:
+                raise InputError(
+                    f"input {path} changed since the manifest was written "
+                    f"(sha256 {digest}, recorded {entry['sha256']})"
+                )
+            resolved[entry["param"]] = str(path)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"manifest does not record its inputs' hashes: {exc!r}") from exc
+    return resolved
+
+
 def cmd_rerun(args) -> int:
     manifest = _load_json(args.manifest)
+    out_dir = Path(args.manifest).parent
     command = manifest["command"]
-    params = manifest["params"]
+    params = {**manifest["params"], **_verified_inputs(manifest, out_dir)}
     argv = [command]
     for key, value in sorted(params.items()):
         if value is None or value is False:
@@ -342,7 +387,6 @@ def cmd_rerun(args) -> int:
         argv.append(str(value))
     if "config" in params:
         argv.insert(1, params["config"])
-    out_dir = Path(args.manifest).parent
     argv += ["--out", str(out_dir / manifest["outputs"][0])]
     return main(argv)
 

@@ -6,6 +6,13 @@ subspace of the tangent space.  Polynomial frame fields spanning E away
 from a degeneracy locus let us measure involutivity as an exact rational
 "bracket defect", and the tangency of embedded complex curves is checked
 as exact subspace equality.
+
+`bracket_defect` evaluates the defect at a point from the gradient and the
+Hessian of P there: the frame fields' values and first derivatives at p are
+closed forms in those, so no polynomial field is built per point.  The
+symbolic fields (`tangent_frame_field`, `lie_bracket`,
+`bracket_defect_polynomial`) give the same exact values and serve as the
+reference.
 """
 
 from __future__ import annotations
@@ -170,11 +177,18 @@ def tangent_frame_fields(Z: Hypersurface, i: int, j: int):
     return tangent_frame_field(Z, i), tangent_frame_field(Z, j)
 
 
-def choose_frame_indices(Z: Hypersurface, p: Sequence) -> tuple[int, int]:
-    """Deterministic frame choice: the (i, j) maximizing the squared area of
-    X_i(p) wedge X_j(p), ties broken lexicographically."""
-    fields = [tangent_frame_field(Z, k) for k in range(4)]
-    values = [f.evaluate(p) for f in fields]
+def _frame_vectors(g: Sequence) -> list[tuple]:
+    """The values X_0(p), ..., X_3(p) of the frame fields, from g = grad P(p):
+    X_i(p) = |g|^2 e_i - g_i g - (Jg)_i Jg."""
+    jg = j_apply(g)
+    n2 = sum(c * c for c in g)
+    return [
+        tuple((n2 if l == i else 0) - g[i] * g[l] - jg[i] * jg[l] for l in range(4))
+        for i in range(4)
+    ]
+
+
+def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
     best = None
     best_area = Fraction(-1)
     for i in range(4):
@@ -190,6 +204,12 @@ def choose_frame_indices(Z: Hypersurface, p: Sequence) -> tuple[int, int]:
     if best_area == 0:
         raise FrameDegenerateError(f"no independent frame pair at {p}")
     return best
+
+
+def choose_frame_indices(Z: Hypersurface, p: Sequence) -> tuple[int, int]:
+    """Deterministic frame choice: the (i, j) maximizing the squared area of
+    X_i(p) wedge X_j(p), ties broken lexicographically."""
+    return _widest_pair(_frame_vectors(gradient(Z.P, p)), p)
 
 
 @dataclass(frozen=True)
@@ -208,20 +228,45 @@ def bracket_defect(
 ) -> BracketDefect:
     """Exact pairing <[X_i, X_j](p), J grad P(p)>; zero iff the bracket stays
     in E_p at p (the grad-P pairing vanishes automatically for fields
-    tangent to level sets)."""
+    tangent to level sets).
+
+    Evaluated pointwise from g = grad P(p) and H = Hess P(p).  With
+    w_a[k] = <d_k X_a(p), Jg>, the pairing is
+    sum_k X_i(p)_k w_j[k] - X_j(p)_k w_i[k], and differentiating
+    X_a = |G|^2 e_a - G_a G - (JG)_a JG gives, using <g, Jg> = 0 and
+    |Jg| = |g|,  w_a[k] = (Jg)_a (Hg)_k - g_a (H Jg)_k - |g|^2 (JH)_ak.
+    The result equals `bracket_defect_polynomial(Z, i, j)` at p exactly.
+    """
     frame = distribution_frame(Z, p)
+    g, jg = frame.grad, frame.jgrad
+    values = _frame_vectors(g)
     if i is None or j is None:
-        i, j = choose_frame_indices(Z, p)
-    Xi, Xj = tangent_frame_fields(Z, i, j)
-    vi, vj = Xi.evaluate(p), Xj.evaluate(p)
+        i, j = _widest_pair(values, p)
+    elif i == j:
+        raise ValueError("frame indices must differ")
+    elif not (0 <= i < 4 and 0 <= j < 4):
+        raise ValueError("coordinate index out of range")
+    vi, vj = values[i], values[j]
     if rank([list(vi), list(vj)]) != 2:
         raise FrameDegenerateError(
             f"frame pair ({i},{j}) degenerate at {p}; choose another pair"
         )
-    bracket = lie_bracket(Xi, Xj)
-    bval = bracket.evaluate(p)
-    raw = sum(a * b for a, b in zip(bval, frame.jgrad))
-    n2 = sum(c * c for c in frame.grad)
+    cache: dict = {}
+    grad_polys = [Z.P.partial(k) for k in range(4)]
+    H = [[None] * 4 for _ in range(4)]
+    for a in range(4):
+        for b in range(a, 4):
+            H[a][b] = H[b][a] = grad_polys[a].partial(b).evaluate(frame.base_point, cache)
+    hg = [sum(h * c for h, c in zip(row, g)) for row in H]
+    hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
+    jh_cols = [j_apply(row) for row in H]  # column k of J H, as H is symmetric
+    n2 = sum(c * c for c in g)
+
+    def w(a):
+        return [jg[a] * hg[k] - g[a] * hjg[k] - n2 * jh_cols[k][a] for k in range(4)]
+
+    wi, wj = w(i), w(j)
+    raw = sum(x * b - y * a for x, y, a, b in zip(vi, vj, wi, wj))
     return BracketDefect(raw, raw / n2**3, (i, j))
 
 
@@ -253,14 +298,17 @@ def leaf_tangency_check(
     """At each sample, verify exactly that the embedded curve's tangent plane
     kernel([grad u; grad v]) equals E_p as subspaces."""
     pair = realify(curve)
+    du = [pair.u.partial(k) for k in range(4)]
+    dv = [pair.v.partial(k) for k in range(4)]
     records = []
     for raw in samples:
         p = tuple(Fraction(c) for c in raw)
         if pair.u.evaluate(p) != 0 or pair.v.evaluate(p) != 0:
             records.append(TangencyRecord(p, "skip", "point not on the curve"))
             continue
-        gu = gradient(pair.u, p)
-        gv = gradient(pair.v, p)
+        cache: dict = {}
+        gu = [d.evaluate(p, cache) for d in du]
+        gv = [d.evaluate(p, cache) for d in dv]
         if rank([gu, gv]) != 2:
             records.append(TangencyRecord(p, "skip", "curve not regular at point"))
             continue

@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 
+_ZERO = Fraction(0)
+
+
 class GaussianRational:
     """Exact complex number re + im*i with rational re, im."""
 
@@ -27,6 +30,15 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """Wrap parts that are already Fractions, such as the results of
+        arithmetic on two GaussianRationals, without coercing them again."""
+        z = object.__new__(cls)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
@@ -34,10 +46,12 @@ class GaussianRational:
     def coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(Fraction(value))
+        if isinstance(value, Fraction):
+            return GaussianRational._of(value, _ZERO)
+        return GaussianRational(value)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._of(self.re, -self.im)
 
     @property
     def is_zero(self) -> bool:
@@ -52,12 +66,12 @@ class GaussianRational:
 
     def __add__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return GaussianRational._of(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._of(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -67,7 +81,7 @@ class GaussianRational:
 
     def __mul__(self, other):
         o = GaussianRational.coerce(other)
-        return GaussianRational(
+        return GaussianRational._of(
             self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
         )
 
@@ -78,7 +92,7 @@ class GaussianRational:
         n = o.re * o.re + o.im * o.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return GaussianRational._of(
             (self.re * o.re + self.im * o.im) / n,
             (self.im * o.re - self.re * o.im) / n,
         )

@@ -165,6 +165,35 @@ class TestDeterminism:
         assert run(["rerun", "--manifest", "c.json.manifest.json"]) == 0
         assert Path("c.json").read_bytes() == first
 
+    def test_rerun_refuses_a_changed_input(self, ws):
+        run(["generate", "--family", "grid-lines", "--n", 3, "--out", "g.json"])
+        run(["count", "g.json", "--out", "c.json"])
+        first = Path("c.json").read_bytes()
+        manifest = Path("c.json.manifest.json").read_bytes()
+        entry, = json.loads(manifest)["inputs"]
+        assert entry["param"] == "config" and entry["path"] == "g.json"
+        assert len(entry["sha256"]) == 64
+        run(["generate", "--family", "grid-lines", "--n", 2, "--out", "g.json"])
+        assert run(["rerun", "--manifest", "c.json.manifest.json"]) == 2
+        assert Path("c.json").read_bytes() == first
+        assert Path("c.json.manifest.json").read_bytes() == manifest
+
+    def test_rerun_from_another_directory(self, ws, monkeypatch):
+        (ws / "runs").mkdir()
+        (ws / "elsewhere").mkdir()
+        run(["generate", "--family", "grid-lines", "--n", 3, "--out", "runs/g.json"])
+        run(["generate", "--family", "leaf", "--g", "z1", "--count", 2,
+             "--out", "runs/leaf.json"])
+        run(["count", "runs/g.json", "--out", "runs/c.json"])
+        run(["foliate", "--hypersurface", "runs/leaf.json",
+             "--curves", "runs/leaf.json", "--out", "runs/f.json"])
+        outputs = {name: (ws / "runs" / name).read_bytes() for name in ("c.json", "f.json")}
+        monkeypatch.chdir(ws / "elsewhere")
+        for name in outputs:
+            assert run(["rerun", "--manifest", f"../runs/{name}.manifest.json"]) == 0
+            assert (ws / "runs" / name).read_bytes() == outputs[name]
+        assert not any((ws / "elsewhere").iterdir())
+
     def test_threads_do_not_change_output(self, ws):
         run(["generate", "--family", "grid-lines", "--n", 4, "--out", "g.json"])
         run(["count", "g.json", "--threads", 1, "--out", "c1.json"])

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from incidencekit import foliation
-from incidencekit.cr import ComplexCurve, j_apply
+from incidencekit.cr import ComplexCurve, PiContainment, SingularPointError, j_apply
 from incidencekit.foliation import (
+    BracketDefect,
+    ExceptionalPointError,
     FrameDegenerateError,
     Hypersurface,
     PolyVectorField,
@@ -19,6 +21,7 @@ from incidencekit.foliation import (
     leaf_sample_points,
     leaf_tangency_check,
     lie_bracket,
+    tangent_frame_field,
     tangent_frame_fields,
 )
 from incidencekit.linalg import in_span, rank, same_span
@@ -174,6 +177,54 @@ def leaf_points_on_hyperplane(rng, count):
     return pts
 
 
+def random_poly(rng, degree):
+    terms = {}
+    for _ in range(rng.randrange(1, 7)):
+        exp = [0, 0, 0, 0]
+        for _ in range(rng.randrange(1, degree + 1)):
+            exp[rng.randrange(4)] += 1
+        terms[tuple(exp)] = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+    return MultiPoly(4, terms)
+
+
+def outcome(call):
+    """(raw, normalized, indices) of a BracketDefect, or (error type, None)."""
+    try:
+        d = call()
+    except ValueError as exc:  # FrameDegenerate, Singular, ExceptionalPoint too
+        return type(exc), None
+    return d.raw, d.normalized, d.indices
+
+
+def symbolic_defect(Z, p, i, j, polys):
+    """The defect from the symbolic fields and their Lie bracket; `polys`
+    keeps each pair's defect polynomial for reuse at other points."""
+    frame = distribution_frame(Z, p)
+    if i is None or j is None:
+        values = [tangent_frame_field(Z, k).evaluate(p) for k in range(4)]
+
+        def dot(u, v):
+            return sum(x * y for x, y in zip(u, v))
+
+        best, best_area = None, 0
+        for a in range(4):
+            for b in range(a + 1, 4):
+                u, v = values[a], values[b]
+                area = dot(u, u) * dot(v, v) - dot(u, v) ** 2
+                if area > best_area:
+                    best, best_area = (a, b), area
+        if best is None:
+            raise FrameDegenerateError("no independent frame pair")
+        i, j = best
+    Xi, Xj = tangent_frame_fields(Z, i, j)
+    if rank([list(Xi.evaluate(p)), list(Xj.evaluate(p))]) != 2:
+        raise FrameDegenerateError("degenerate frame pair")
+    if (i, j) not in polys:
+        polys[i, j] = bracket_defect_polynomial(Z, i, j)
+    raw = polys[i, j].evaluate(p)
+    return BracketDefect(raw, raw / sum(c * c for c in frame.grad) ** 3, (i, j))
+
+
 class TestBracketDefect:
     def test_flat_hyperplane_zero(self):
         Z = Hypersurface(Y2 - Y1)
@@ -214,6 +265,52 @@ class TestBracketDefect:
         Z = Hypersurface(P)
         p = [Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0)]
         assert bracket_defect(Z, p).raw != 0
+
+    def test_pointwise_matches_symbolic_defect(self):
+        # seeded P = Q - Q(p0) of degree <= 4, so p0 lies on Z(P), plus a
+        # cone at its apex, a hyperplane and the sphere; every ordered pair,
+        # the default choice and invalid pairs, at p0 and at a point that is
+        # usually off Z(P)
+        rng = random.Random(2024)
+        cases = [
+            (X1 * X1 + Y1 * Y1 - X2 * X2 - Y2 * Y2, [0, 0, 0, 0]),
+            (Y2 - Y1, [1, 2, 3, 2]),
+            (X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - 1, [Fraction(3, 5), 0, Fraction(4, 5), 0]),
+        ]
+        for _ in range(10):
+            Q = random_poly(rng, 4)
+            p0 = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(4)]
+            cases.append((Q - Q.evaluate(p0), p0))
+        pairs = [(None, None), (1, 1), (0, 4), (4, 0), (-1, 2), (2, -1)]
+        pairs += [(i, j) for i in range(4) for j in range(4) if i != j]
+        seen = set()
+        for P, p0 in cases:
+            if P.is_zero:
+                continue
+            Z = Hypersurface(P)
+            symbolic = {}
+            for p in (p0, [c + 1 for c in p0]):
+                for i, j in pairs:
+                    got = outcome(lambda: bracket_defect(Z, p, i, j))
+                    want = outcome(lambda: symbolic_defect(Z, p, i, j, symbolic))
+                    assert got == want, (P, p, i, j)
+                    seen.add(got[0] if isinstance(got[0], type) else bool(got[0]))
+        assert seen == {True, False, ValueError, SingularPointError, FrameDegenerateError}
+
+    def test_frame_index_errors(self):
+        Z = Hypersurface(Y2 - Y1)
+        with pytest.raises(ValueError, match="frame indices must differ"):
+            bracket_defect(Z, [0, 0, 0, 0], 2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            bracket_defect(Z, [0, 0, 0, 0], -1, 2)
+
+    def test_exceptional_point_raised_before_the_frame(self, monkeypatch):
+        # a real gradient never annihilates an exceptional plane, so force it
+        monkeypatch.setattr(foliation, "tangent_contains_pi", lambda P, p: PiContainment.PI1)
+        Z = Hypersurface(Y2 - Y1)
+        for i, j in ((None, None), (0, 1), (1, 1)):
+            assert outcome(lambda: bracket_defect(Z, [0, 0, 0, 0], i, j)) == (
+                ExceptionalPointError, None)
 
 
 class TestLeafTangency:
