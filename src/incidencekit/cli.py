@@ -70,24 +70,33 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, command: str, params: dict,
-                    inputs: tuple[str, ...], started: float):
+                    inputs: tuple[str, ...], started: float,
+                    extra_outputs: tuple[str, ...] = (), stats: dict | None = None):
     """`inputs` names the params that are input files; each is recorded with
-    its sha256 and its path relative to the manifest's directory."""
+    its sha256 and its path relative to the manifest's directory.  The
+    outputs are out_path and then `extra_outputs`, relative to the same
+    directory.  `stats` (what the run did, never part of an output) is
+    recorded as given."""
     base = out_path.resolve().parent
+
+    def relative(path):
+        return Path(os.path.relpath(Path(path).resolve(), base)).as_posix()
+
     manifest = {
         "artifact_version": __version__,
         "command": command,
         "params": params,
         "seed": params.get("seed", 0),
         "inputs": [
-            {"param": key,
-             "path": Path(os.path.relpath(Path(params[key]).resolve(), base)).as_posix(),
+            {"param": key, "path": relative(params[key]),
              "sha256": _sha256(Path(params[key]))}
             for key in sorted(inputs)
         ],
-        "outputs": [out_path.name],
+        "outputs": [out_path.name, *(relative(path) for path in extra_outputs)],
         "wall_clock_s": round(time.monotonic() - started, 3),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     _write(out_path.with_suffix(out_path.suffix + ".manifest.json"),
            _dump_json(manifest))
 
@@ -174,6 +183,7 @@ def cmd_count(args) -> int:
         {"config": args.config, "format": args.format, "seed": args.seed,
          "threads": args.threads, "matrix_csv": args.matrix_csv},
         ("config",), started,
+        extra_outputs=(args.matrix_csv,) if args.matrix_csv else (),
     )
     print(f"I = {matrix.count}")
     return EXIT_OK
@@ -234,6 +244,11 @@ def cmd_partition(args) -> int:
          "restarts": args.restarts, "seed": args.seed,
          "format": args.format, "threads": args.threads},
         ("config",), started,
+        stats={"cuts": [
+            {"restarts_used": cut.restarts_used, "strict_ok": cut.strict_ok,
+             "counts": [list(c) for c in cut.counts]}
+            for cut in result.cuts
+        ]},
     )
     max_class = max(result.occupancy.values(), default=0)
     print(f"classes={result.achieved_classes} max_class={max_class} "
@@ -376,6 +391,11 @@ def cmd_rerun(args) -> int:
     out_dir = Path(args.manifest).parent
     command = manifest["command"]
     params = {**manifest["params"], **_verified_inputs(manifest, out_dir)}
+    outputs = [out_dir / path for path in manifest["outputs"]]
+    if params.get("matrix_csv"):
+        if len(outputs) < 2:
+            raise InputError("manifest does not record the matrix CSV's path")
+        params["matrix_csv"] = str(outputs[1])
     argv = [command]
     for key, value in sorted(params.items()):
         if value is None or value is False:
@@ -387,7 +407,7 @@ def cmd_rerun(args) -> int:
         argv.append(str(value))
     if "config" in params:
         argv.insert(1, params["config"])
-    argv += ["--out", str(out_dir / manifest["outputs"][0])]
+    argv += ["--out", str(outputs[0])]
     return main(argv)
 
 

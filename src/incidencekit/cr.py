@@ -157,6 +157,12 @@ def tangent_contains_pi(P: MultiPoly, p: Sequence) -> PiContainment:
     grad = gradient(P, p)
     if all(not g for g in (GaussianRational.coerce(c) for c in grad)):
         raise SingularPointError(f"gradient vanishes at {p}")
+    return pi_containment(grad)
+
+
+def pi_containment(grad: Sequence) -> PiContainment:
+    """Which exceptional planes the nonzero gradient grad annihilates, that
+    is, which ones the tangent hyperplane it defines contains."""
     gc = [GaussianRational.coerce(c) for c in grad]
 
     def annihilates(basis):

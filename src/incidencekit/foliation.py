@@ -28,8 +28,8 @@ from .cr import (
     SingularPointError,
     iota,
     j_apply,
+    pi_containment,
     realify,
-    tangent_contains_pi,
 )
 from .linalg import in_span, kernel_basis, rank, same_span
 from .poly import GaussianRational, MultiPoly, check_invariant, gradient
@@ -86,7 +86,7 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     g = tuple(gradient(Z.P, p))
     if all(c == 0 for c in g):
         raise SingularPointError(f"gradient vanishes at {p}")
-    if tangent_contains_pi(Z.P, p) is not PiContainment.NONE:
+    if pi_containment(g) is not PiContainment.NONE:
         raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
     jg = j_apply(g)
     basis = kernel_basis([list(g), list(jg)])

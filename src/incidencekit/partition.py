@@ -7,13 +7,20 @@ over Q; coefficients are snapped to rationals before anything downstream
 sees them.  Sign classes (the vector of bisector signs at a point) stand in
 for connected cells: they refine unions of cells and inherit the
 few-points-per-class guarantee directly.
+
+A cut keeps its lifted points in one exact form: the integer rows
+D*(1, lift(p)) over one common denominator D.  Its exact steps are integer
+sweeps along a line of hyperplanes (_best_pencil_t): the offset scan moves
+the constant term, the polish each coefficient in turn.  Each bisector is
+then evaluated once at every point; those signs split the classes and are
+the sign assignment.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -104,27 +111,39 @@ class CutResult:
     restarts_used: int  # attempts spent on this cut
 
 
-def _exact_projections(lifted_sets, normal):
-    """normal excludes the constant term."""
-    return [
-        [sum(c * x for c, x in zip(normal, p)) for p in s] for s in lifted_sets
+def _integer_form(vectors):
+    """Integer numerators of rational vectors over their common denominator."""
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, [
+        [x.numerator * (den // x.denominator) for x in v] for v in vectors
     ]
 
 
-def _counts_from_projections(projs, offset):
-    counts = []
-    for ps in projs:
-        neg = pos = zero = 0
-        for v in ps:
-            s = _sign(v + offset)
-            if s > 0:
-                pos += 1
-            elif s < 0:
-                neg += 1
-            else:
-                zero += 1
-        counts.append((neg, zero, pos))
-    return counts
+def _integer_values(rows, coeffs):
+    """Values of the hyperplane (c0, c1..cD) at the integer rows D*(1, p) of
+    a cut, in integers: returns (S, values) with values[k][i] equal to S*D
+    times the exact value at the i-th point of set k, S > 0 being the common
+    denominator of the coefficients.  Positive scalings keep every sign."""
+    scale, (cints,) = _integer_form([coeffs])
+    return scale, [
+        [sum(c * x for c, x in zip(cints, q)) for q in s] for s in rows
+    ]
+
+
+def _exact_projections(rows, normal):
+    """The offset step's start: the integer values of the hyperplane
+    (0, normal), see _integer_values.  normal excludes the constant term."""
+    return _integer_values(rows, [0, *normal])
+
+
+def _counts(values):
+    """Per set (neg, zero, pos): the signs of exact integer values."""
+    out = []
+    for vs in values:
+        neg = sum(1 for v in vs if v < 0)
+        zero = vs.count(0)
+        out.append((neg, zero, len(vs) - neg - zero))
+    return out
 
 
 def _strict_ok(counts):
@@ -145,63 +164,18 @@ def _snap(x: float, limit: int = SNAP_DENOMINATOR) -> Fraction:
     return Fraction(x).limit_denominator(limit)
 
 
-def _best_offset(projs, targets):
-    """Exact 1-D scan for the constant term minimizing total side overflow,
-    then max overflow; deterministic tie-break on the smaller threshold.
+def _best_offset(avals, scale, targets):
+    """Exact constant term c0 for a normal, from the integer projections
+    avals[k][i] = scale * (normal . p_i) with scale > 0.
 
-    Implemented as a single sweep over the globally sorted projection values
-    (exact comparisons only in the sort), so the cost is O(n log n) rather
-    than O(n * candidates)."""
-    events: list[tuple[Fraction, int]] = []
-    for k, ps in enumerate(projs):
-        events.extend((v, k) for v in ps)
-    if not events:
-        return Fraction(0)
-    events.sort(key=lambda e: e[0])
-    sizes = [len(ps) for ps in projs]
-    less = [0] * len(projs)
-    best = None
-
-    def consider(total_over, max_over, zeros, tau):
-        nonlocal best
-        key = (total_over, max_over, zeros, tau)
-        if best is None or key < best:
-            best = key
-
-    def score(eq):
-        total_over = 0
-        max_over = 0
-        zeros = 0
-        for k, tgt in enumerate(targets):
-            neg = less[k]
-            z = eq[k] if eq else 0
-            pos = sizes[k] - neg - z
-            zeros += z
-            over = max(neg - tgt, 0) + max(pos - tgt, 0)
-            total_over += over
-            max_over = max(max_over, over)
-        return total_over, max_over, zeros
-
-    # gap before the smallest value
-    consider(*score(None), events[0][0] - 1)
-    i = 0
-    n_events = len(events)
-    while i < n_events:
-        v = events[i][0]
-        eq = [0] * len(projs)
-        j = i
-        while j < n_events and events[j][0] == v:
-            eq[events[j][1]] += 1
-            j += 1
-        # threshold hitting the value exactly
-        consider(*score(eq), v)
-        for k, e in enumerate(eq):
-            less[k] += e
-        # gap strictly after v: midpoint to the next value, or v + 1 at the end
-        tau = (v + events[j][0]) / 2 if j < n_events else v + 1
-        consider(*score(None), tau)
-        i = j
-    return -best[3]
+    This is the pencil sweep along e_0 from (0, normal): every point moves
+    at the same rate, so its side flips where c0 = -(normal . p_i).  Among
+    the candidates (below, at, between and past the flips) it takes the one
+    with the least (total overflow, max overflow, points on the cut) and,
+    of those, the largest c0; 0 when there are no points."""
+    ones = [[1] * len(avs) for avs in avals]
+    found = _best_pencil_t(avals, ones, targets, scale, largest=True)
+    return Fraction(0) if found is None else found[4]
 
 
 def _float_ratio(num: int, den: int) -> float:
@@ -213,7 +187,7 @@ def _float_ratio(num: int, den: int) -> float:
         return math.inf if num > 0 else -math.inf
 
 
-def _best_pencil_t(avals, bvals, targets, scale=1):
+def _best_pencil_t(avals, bvals, targets, scale=1, largest=False):
     """Exact 1-D search over the hyperplane pencil c + t*g, in integers.
 
     avals and bvals hold per set the integers A_p and B_p of each point,
@@ -222,13 +196,15 @@ def _best_pencil_t(avals, bvals, targets, scale=1):
     are below the first flip, at each flip, midway between neighbouring
     flips and past the last; the best key (total overflow, max overflow,
     points on surface, |t|, t) over their exact per-set (neg, zero, pos)
-    counts is returned, or None when no point depends on t.
+    counts is returned, or None when no point depends on t.  With largest,
+    the largest t wins the ties on the first three entries instead of the
+    one nearest 0.
 
     Flips stay (numerator, denominator) pairs.  They are sorted by their
     correctly rounded float value, which is monotone in the exact value, and
     each run of equal floats is then ordered exactly.  The counts at every
     candidate come from cumulative sums over the sorted flips, and only the
-    final |t| tie-break looks at exact t values."""
+    final tie-break looks at exact t values."""
     n_sets = len(avals)
     neg0 = [0] * n_sets
     pos0 = [0] * n_sets
@@ -321,33 +297,28 @@ def _best_pencil_t(avals, bvals, targets, scale=1):
             return n * d2 + n2 * d, 2 * d * d2
         return n + d, d
 
-    # candidates increase in t, so the smallest |t| among the tied ones is
-    # the last negative or the first non-negative; ties on |t| take t < 0
-    lo, hi = 0, len(tied)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if candidate_t(tied[mid])[0] >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    best = None
-    for c in tied[max(lo - 1, 0) : lo + 1]:
-        t = Fraction(*candidate_t(c))
-        if best is None or (abs(t), t) < (abs(best[1]), best[1]):
-            best = (c, t)
-    c, t = best
+    def t_at(c):
+        return Fraction(*candidate_t(c))
+
+    if largest:
+        c = tied[-1]
+    else:
+        # candidates increase in t, so the smallest |t| among the tied ones
+        # is the last negative or the first non-negative; ties on |t| take
+        # t < 0
+        lo, hi = 0, len(tied)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if candidate_t(tied[mid])[0] >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        c = min(tied[max(lo - 1, 0) : lo + 1], key=lambda c: (abs(t_at(c)), t_at(c)))
+    t = t_at(c)
     return int(total[c]), int(worst[c]), int(zeros[c]), abs(t), t
 
 
-def _integer_form(vectors):
-    """Integer numerators of rational vectors over their common denominator."""
-    den = math.lcm(*(x.denominator for v in vectors for x in v))
-    return den, [
-        [x.numerator * (den // x.denominator) for x in v] for v in vectors
-    ]
-
-
-def _pencil_polish(lifted, coeffs, targets, max_rounds=8):
+def _pencil_polish(rows, coeffs, targets, max_rounds=8):
     """Exact coordinate descent over hyperplane coefficients.
 
     Sweeps each coefficient direction e_j in turn with _best_pencil_t and
@@ -356,17 +327,11 @@ def _pencil_polish(lifted, coeffs, targets, max_rounds=8):
     or two points over target) are repaired deterministically.  Returns the
     polished coefficients and their exact per-set counts.
 
-    The arithmetic runs on Python ints: each set's points are scaled by the
-    common denominator of their coordinates and the coefficients by theirs.
-    Positive scalings leave every sign, and so every flip point, unchanged."""
+    The arithmetic runs on Python ints: rows are the cut's integer rows
+    D*(1, p), and the coefficients are scaled by their common denominator
+    (_integer_values).  Positive scalings leave every sign, and so every
+    flip point, unchanged."""
     dim = len(coeffs) - 1
-    aug = [_integer_form([(1,) + tuple(p) for p in s])[1] for s in lifted]
-
-    def integer_values(coeffs):
-        scale, (cints,) = _integer_form([coeffs])
-        return scale, [
-            [sum(c * x for c, x in zip(cints, q)) for q in s] for s in aug
-        ]
 
     def key_of(counts):
         total_over = 0
@@ -380,16 +345,8 @@ def _pencil_polish(lifted, coeffs, targets, max_rounds=8):
                 max_over = over
         return (total_over, max_over, zeros)
 
-    def counts_now():
-        out = []
-        for avs in avals:
-            neg = sum(1 for a in avs if a < 0)
-            zero = sum(1 for a in avs if a == 0)
-            out.append((neg, zero, len(avs) - neg - zero))
-        return out
-
-    scale, avals = integer_values(coeffs)
-    counts = counts_now()
+    scale, avals = _integer_values(rows, coeffs)
+    counts = _counts(avals)
     current = key_of(counts)
     # axis directions are cheap and usually enough; pairwise combinations
     # only run when a full axis round stalls, to escape plateaus where no
@@ -407,10 +364,10 @@ def _pencil_polish(lifted, coeffs, targets, max_rounds=8):
         for direction in directions:
             if len(direction) == 1:
                 (j, _), = direction
-                bvals = [[q[j] for q in s] for s in aug]
+                bvals = [[q[j] for q in s] for s in rows]
             else:
                 (j1, _), (j2, w2) = direction
-                bvals = [[q[j1] + w2 * q[j2] for q in s] for s in aug]
+                bvals = [[q[j1] + w2 * q[j2] for q in s] for s in rows]
             found = _best_pencil_t(avals, bvals, targets, scale)
             if found is None:
                 continue
@@ -423,8 +380,8 @@ def _pencil_polish(lifted, coeffs, targets, max_rounds=8):
             if all(c == 0 for c in trial[1:]):
                 continue
             coeffs = trial
-            scale, avals = integer_values(coeffs)
-            counts = counts_now()
+            scale, avals = _integer_values(rows, coeffs)
+            counts = _counts(avals)
             current = key_of(counts)
             improved = True
             if _strict_ok(counts):
@@ -478,12 +435,18 @@ def ham_sandwich_bisect(
 ) -> CutResult:
     """Simultaneously bisect finite point sets in Q^D by an affine hyperplane.
 
-    Strategy: numeric descent for the normal direction, exact rational scan
-    for the offset, then exact coordinate-descent polish over the hyperplane
+    Strategy: numeric descent for the normal direction, an exact sweep for
+    the offset, then exact coordinate-descent polish over the hyperplane
     coefficients (each move is an exact 1-D pencil sweep, so the imbalance
     key decreases monotonically).  All counts exact; failure to reach the
     imbalance target within the restart budget raises BudgetExhaustedError
     carrying the best cut found.
+
+    Every exact step reads one integer form of the points: the rows
+    D*(1, p), D the common denominator of all coordinates.  The offset step
+    is the pencil sweep along the constant term, and the polish sweeps the
+    same rows.  The descent's floats are the correctly rounded ratios
+    row/D, the same floats as those of the rational coordinates.
     """
     lifted = [[tuple(Fraction(c) for c in p) for p in s] for s in sets]
     dim = len(lifted[0][0]) if lifted and lifted[0] else 0
@@ -495,15 +458,17 @@ def ham_sandwich_bisect(
     sizes = [len(s) for s in lifted]
     targets = [-(-n // 2) for n in sizes]  # ceil(n/2)
 
+    den, flat = _integer_form([(1, *p) for s in lifted for p in s])
+    ends = list(itertools.accumulate(sizes))
+    rows = [flat[e - n : e] for e, n in zip(ends, sizes)]
     arrays = [
-        np.array([[1.0] + [float(c) for c in p] for p in s], dtype=float)
+        np.array([[x / den for x in q] for q in s], dtype=float)
         if s
         else np.zeros((0, dim + 1))
-        for s in lifted
+        for s in rows
     ]
-    aug = [[Fraction(1)] + list(p) for s in lifted for p in s]
-    scale = max((abs(x) for row in aug for x in row), default=1.0)
-    sigma_schedule = [float(scale) * s for s in (0.5, 0.1, 0.02, 0.004)]
+    extent = max((abs(x) for q in flat for x in q), default=den) / den
+    sigma_schedule = [extent * s for s in (0.5, 0.1, 0.02, 0.004)]
 
     rng = np.random.default_rng(seed)
     best: CutResult | None = None
@@ -513,12 +478,11 @@ def ham_sandwich_bisect(
         normal = [_snap(float(c)) for c in h[1:]]
         if all(c == 0 for c in normal):
             continue
-        projs = _exact_projections(lifted, normal)
-        offset = _best_offset(projs, targets)
-        coeffs = [offset] + normal
-        counts = _counts_from_projections(projs, offset)
+        scale, avals = _exact_projections(rows, normal)
+        coeffs = [_best_offset(avals, scale * den, targets)] + normal
+        counts = _counts(_integer_values(rows, coeffs)[1])
         if not _strict_ok(counts):
-            coeffs, counts = _pencil_polish(lifted, coeffs, targets)
+            coeffs, counts = _pencil_polish(rows, coeffs, targets)
 
         result = CutResult(
             tuple(coeffs),
@@ -565,6 +529,7 @@ class PartitionResult:
     occupancy: dict[tuple[int, ...], int]
     on_surface: int
     achieved_classes: int
+    cuts: list[CutResult] = field(default_factory=list)  # one per bisector
 
     @property
     def product(self) -> MultiPoly:
@@ -651,6 +616,8 @@ def polynomial_partition(
     stages = stage_schedule(dim, r)
     bisectors: list[MultiPoly] = []
     cut_degrees: list[int] = []
+    cuts: list[CutResult] = []
+    columns: list[list[int]] = []  # per bisector, its sign at every point
     # classes hold point indices; removed indices are on some bisector
     classes: list[list[int]] = [list(range(len(pts)))]
     cut_index = 0
@@ -674,25 +641,22 @@ def polynomial_partition(
             bisector = hyperplane_poly(cut.coeffs, dim, t)
             bisectors.append(bisector)
             cut_degrees.append(t)
-            # exact recount, never trusting the search
+            cuts.append(cut)
+            # exact recount, never trusting the search: one evaluation per
+            # point, whose sign splits the group's classes and is this
+            # bisector's entry of every point's sign vector
+            signs = [_sign(bisector.evaluate(p)) for p in pts]
+            columns.append(signs)
             for c in group:
-                pos_idx, neg_idx = [], []
-                for i in c:
-                    s = _sign(bisector.evaluate(pts[i]))
-                    if s > 0:
-                        pos_idx.append(i)
-                    elif s < 0:
-                        neg_idx.append(i)
+                neg_idx = [i for i in c if signs[i] < 0]
+                pos_idx = [i for i in c if signs[i] > 0]
                 if neg_idx:
                     next_classes.append(neg_idx)
                 if pos_idx:
                     next_classes.append(pos_idx)
         classes = next_classes
 
-    # joint sign vector of every point across all cuts, recomputed exactly
-    assignment = [
-        tuple(_sign(b.evaluate(p)) for b in bisectors) for p in pts
-    ]
+    assignment = [tuple(col[i] for col in columns) for i in range(len(pts))]
     occupancy: dict[tuple[int, ...], int] = {}
     surface_count = 0
     for v in assignment:
@@ -711,6 +675,7 @@ def polynomial_partition(
         occupancy=occupancy,
         on_surface=surface_count,
         achieved_classes=len(occupancy),
+        cuts=cuts,
     )
 
 

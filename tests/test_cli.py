@@ -132,6 +132,21 @@ class TestPartitionFoliateBoundFit:
         obj = json.loads(Path("p.json").read_text())
         assert sum(obj["occupancy"].values()) + obj["on_surface"] == 64
 
+    def test_partition_manifest_records_each_cut(self, ws):
+        run(["generate", "--family", "random", "--points", 64, "--curves", 0,
+             "--out", "r.json"])
+        assert run(["partition", "r.json", "--r", 4, "--out", "p.json"]) == 0
+        obj = json.loads(Path("p.json").read_text())
+        assert "stats" not in obj
+        cuts = json.loads(Path("p.json.manifest.json").read_text())["stats"]["cuts"]
+        assert len(cuts) == len(obj["bisectors"]) == 3
+        for cut in cuts:
+            assert cut["restarts_used"] >= 1
+            assert isinstance(cut["strict_ok"], bool)
+            assert sum(sum(c) for c in cut["counts"]) <= 64
+        # the first cut bisects every point
+        assert sum(cuts[0]["counts"][0]) == 64
+
     def test_foliate_all_pass(self, ws):
         run(["generate", "--family", "leaf", "--g", "z1", "--count", 3,
              "--out", "leaf.json"])
@@ -193,6 +208,29 @@ class TestDeterminism:
             assert run(["rerun", "--manifest", f"../runs/{name}.manifest.json"]) == 0
             assert (ws / "runs" / name).read_bytes() == outputs[name]
         assert not any((ws / "elsewhere").iterdir())
+
+    def test_rerun_writes_the_matrix_csv_beside_the_original(self, ws, monkeypatch):
+        (ws / "runs").mkdir()
+        (ws / "other").mkdir()
+        run(["generate", "--family", "grid-lines", "--n", 3, "--out", "runs/g.json"])
+        run(["count", "runs/g.json", "--matrix-csv", "runs/m.csv", "--out", "runs/c.json"])
+        manifest = json.loads((ws / "runs" / "c.json.manifest.json").read_text())
+        assert manifest["outputs"] == ["c.json", "m.csv"]
+        outputs = {name: (ws / "runs" / name).read_bytes() for name in ("c.json", "m.csv")}
+        for name in outputs:
+            (ws / "runs" / name).unlink()
+        monkeypatch.chdir(ws / "other")
+        assert run(["rerun", "--manifest", "../runs/c.json.manifest.json"]) == 0
+        for name, data in outputs.items():
+            assert (ws / "runs" / name).read_bytes() == data
+        assert not any((ws / "other").iterdir())
+        # a manifest that names no place for the CSV is refused
+        manifest["outputs"] = ["c.json"]
+        (ws / "runs" / "c.json.manifest.json").write_text(json.dumps(manifest))
+        (ws / "runs" / "m.csv").unlink()
+        assert run(["rerun", "--manifest", "../runs/c.json.manifest.json"]) == 2
+        assert not (ws / "runs" / "m.csv").exists()
+        assert not any((ws / "other").iterdir())
 
     def test_threads_do_not_change_output(self, ws):
         run(["generate", "--family", "grid-lines", "--n", 4, "--out", "g.json"])

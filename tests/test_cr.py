@@ -21,6 +21,7 @@ from incidencekit.cr import (
     iota,
     iota_inv,
     j_apply,
+    pi_containment,
     realify,
     tangent_contains_pi,
 )
@@ -255,6 +256,13 @@ class TestTangentContainsPi:
             except SingularPointError:
                 continue
             assert result != PiContainment.BOTH
+
+    def test_containment_from_a_gradient(self):
+        # a complex gradient can annihilate either exceptional plane
+        one, i, zero = GaussianRational(1), I_UNIT, GaussianRational(0)
+        assert pi_containment((one, -i, zero, zero)) == PiContainment.PI1
+        assert pi_containment((zero, zero, one, i)) == PiContainment.PI2
+        assert pi_containment((1, 0, 0, 0)) == PiContainment.NONE
 
 
 @settings(max_examples=40, deadline=None)

@@ -306,7 +306,7 @@ class TestBracketDefect:
 
     def test_exceptional_point_raised_before_the_frame(self, monkeypatch):
         # a real gradient never annihilates an exceptional plane, so force it
-        monkeypatch.setattr(foliation, "tangent_contains_pi", lambda P, p: PiContainment.PI1)
+        monkeypatch.setattr(foliation, "pi_containment", lambda grad: PiContainment.PI1)
         Z = Hypersurface(Y2 - Y1)
         for i, j in ((None, None), (0, 1), (1, 1)):
             assert outcome(lambda: bracket_defect(Z, [0, 0, 0, 0], i, j)) == (

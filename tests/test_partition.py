@@ -1,6 +1,8 @@
 """Polynomial partitioning: Veronese lifts, ham-sandwich cuts, occupancy,
 and crossing statistics."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 from incidencekit.partition import (
     CutResult,
     PartitionResult,
+    _best_offset,
     _best_pencil_t,
     _gap_samples,
     ham_sandwich_bisect,
@@ -203,6 +206,60 @@ def assert_sweeps_agree(avals, bvals, targets, scale=1):
     return expected
 
 
+def fraction_best_offset(projs, targets):
+    """Reference offset scan in Fraction arithmetic over the projections
+    v = normal . p: the threshold tau (the cut is v - tau) runs below the
+    smallest value, through each value, midway between neighbours and past
+    the largest; returns -tau of the best (total overflow, max overflow,
+    zeros, tau), so ties take the smallest tau."""
+    events = sorted((v, k) for k, ps in enumerate(projs) for v in ps)
+    if not events:
+        return Fraction(0)
+    sizes = [len(ps) for ps in projs]
+    less = [0] * len(projs)
+    best = None
+
+    def consider(eq, tau):
+        nonlocal best
+        total_over = max_over = zeros = 0
+        for k, tgt in enumerate(targets):
+            z = eq[k] if eq else 0
+            neg, pos = less[k], sizes[k] - less[k] - z
+            zeros += z
+            over = max(neg - tgt, 0) + max(pos - tgt, 0)
+            total_over += over
+            max_over = max(max_over, over)
+        key = (total_over, max_over, zeros, tau)
+        if best is None or key < best:
+            best = key
+
+    consider(None, events[0][0] - 1)
+    i = 0
+    while i < len(events):
+        v = events[i][0]
+        eq = [0] * len(projs)
+        j = i
+        while j < len(events) and events[j][0] == v:
+            eq[events[j][1]] += 1
+            j += 1
+        consider(eq, v)
+        for k, e in enumerate(eq):
+            less[k] += e
+        consider(None, (v + events[j][0]) / 2 if j < len(events) else v + 1)
+        i = j
+    return -best[3]
+
+
+def assert_offsets_agree(projs, targets, factor=1):
+    """The integer offset sweep on A = v * D * factor (D the common
+    denominator of the projections) equals the Fraction scan on v."""
+    den = math.lcm(*(v.denominator for ps in projs for v in ps))
+    avals = [[v.numerator * (den // v.denominator) * factor for v in ps] for ps in projs]
+    expected = fraction_best_offset(projs, targets)
+    assert _best_offset(avals, den * factor, targets) == expected
+    return expected
+
+
 class TestPencilSweep:
     def test_seeded_random(self):
         rng = random.Random(11)
@@ -280,6 +337,74 @@ class TestPencilSweep:
             assert_sweeps_agree(avals, bvals, [20] * 4, scale)
 
 
+class TestOffsetSweep:
+    def test_seeded_random(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n_sets = rng.randrange(1, 5)
+            span = rng.choice([2, 5, 40, 2**50])
+            den = rng.choice([1, 4, 2**20])
+            projs = [[Fraction(rng.randrange(-span, span + 1), rng.randrange(1, den + 1))
+                      for _ in range(rng.randrange(0, 12))] for _ in range(n_sets)]
+            targets = [-(-len(ps) // 2) for ps in projs]
+            if rng.random() < 0.3:
+                targets = [max(t + rng.randrange(-1, 2), 0) for t in targets]
+            assert_offsets_agree(projs, targets, rng.choice([1, 3, 2**32]))
+
+    def test_ties_within_and_across_sets(self):
+        # every set repeats the same few values, so most candidates tie
+        for values in ((0, 0, 1, 1), (2, 2, 2), (0, 1, 1, 1, 2), (5,)):
+            for n_sets in (1, 2, 3):
+                projs = [[Fraction(v) for v in values] for _ in range(n_sets)]
+                targets = [-(-len(values) // 2)] * n_sets
+                assert_offsets_agree(projs, targets)
+        projs = [[Fraction(x) for x in (0, 2, 4, 6)], [Fraction(x) for x in (1, 3, 5, 7)]]
+        assert assert_offsets_agree(projs, [2, 2]) == Fraction(-7, 2)
+
+    def test_empty_sets_and_single_points(self):
+        assert assert_offsets_agree([[]], [0]) == 0
+        assert assert_offsets_agree([[], []], [0, 0]) == 0
+        assert assert_offsets_agree([[Fraction(3, 7)]], [1]) == Fraction(4, 7)
+        # c0 = 4 and c0 = 6 both balance; the larger one wins, not the one
+        # nearer 0 as in the polish
+        assert assert_offsets_agree([[Fraction(-5)]], [1]) == 6
+        assert_offsets_agree([[], [Fraction(1)], [Fraction(-2), Fraction(5)]], [0, 1, 1])
+
+    def test_odd_and_even_sizes(self):
+        rng = random.Random(5)
+        for n in range(1, 10):
+            projs = [[Fraction(rng.randrange(-3, 4), 2) for _ in range(n)],
+                     [Fraction(rng.randrange(-3, 4), 3) for _ in range(n + 1)]]
+            assert_offsets_agree(projs, [-(-n // 2), -(-(n + 1) // 2)])
+
+    def test_values_below_float_resolution_and_beyond_float_range(self):
+        e = Fraction(1, 2**70)
+        projs = [[1 + e, Fraction(1), 1 - e, 1 + 2 * e], [1 - e, Fraction(1)]]
+        assert_offsets_agree(projs, [2, 1])
+        big = Fraction(10**400)
+        assert_offsets_agree([[big, -big, big + 1], [Fraction(0)]], [2, 1])
+
+
+# sha256 of json.dumps(polynomial_partition(points, r, seed=seed).to_obj(),
+# sort_keys=True): refactors of the search and the recount must keep them
+PINNED_PARTITIONS = [
+    # (points, dim, denominator, point seed, r, partition seed, sha256)
+    (48, 2, 2**20, 1, 4, 0, "f91df74e622c0698d12adc6c02e27907b192d54c0be6761f157f66be9607bb2e"),
+    # 40 points on 16 grid positions: heavy ties everywhere
+    (40, 2, 4, 3, 4, 1, "533576e633c8c2670268d3c945b42d3d4664f7fd92318b2a57ddb287ff812735"),
+    (96, 4, 2**20, 4, 2, 2, "1d21e17b2414377c61d2cef37062942c25a48f4a3850ffb7e147336820d03c9b"),
+]
+
+
+@pytest.mark.parametrize("n, dim, den, point_seed, r, seed, digest", PINNED_PARTITIONS)
+def test_pinned_partition_output(n, dim, den, point_seed, r, seed, digest):
+    rng = random.Random(point_seed)
+    points = [tuple(Fraction(rng.randrange(0, den), den) for _ in range(dim))
+              for _ in range(n)]
+    obj = polynomial_partition(points, r, seed=seed).to_obj()
+    assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
+
+
 class TestPartition:
     def test_stage_schedule_planar_r8(self):
         # the 8 classes of the final stage are halved by two degree-2 cuts
@@ -312,6 +437,18 @@ class TestPartition:
                 recount[vec] += 1
         assert on_surface == result.on_surface
         assert dict(recount) == dict(result.occupancy)
+
+    def test_cut_records(self):
+        pts = uniform_points(64, seed=5)
+        result = polynomial_partition(pts, r=4, seed=0)
+        assert len(result.cuts) == len(result.bisectors) == 3
+        for cut, bisector, t in zip(result.cuts, result.bisectors, result.stage_degrees):
+            assert hyperplane_poly(cut.coeffs, 2, t) == bisector
+            assert cut.restarts_used >= 1
+        # the first cut bisects every point, and its counts are the signs
+        neg = sum(1 for v in result.sign_assignment if v[0] < 0)
+        zero = sum(1 for v in result.sign_assignment if v[0] == 0)
+        assert result.cuts[0].counts == [(neg, zero, 64 - neg - zero)]
 
     def test_product_degree(self):
         pts = uniform_points(64, seed=5)
