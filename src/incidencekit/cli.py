@@ -246,7 +246,10 @@ def cmd_partition(args) -> int:
         ("config",), started,
         stats={"cuts": [
             {"restarts_used": cut.restarts_used, "strict_ok": cut.strict_ok,
-             "counts": [list(c) for c in cut.counts]}
+             "counts": [list(c) for c in cut.counts],
+             "polish_rounds": cut.polish_rounds,
+             "pencil_sweeps": cut.pencil_sweeps,
+             "seconds": round(cut.seconds, 3)}
             for cut in result.cuts
         ]},
     )

@@ -8,22 +8,27 @@ sees them.  Sign classes (the vector of bisector signs at a point) stand in
 for connected cells: they refine unions of cells and inherit the
 few-points-per-class guarantee directly.
 
-A cut keeps its lifted points in one exact form: the integer rows
-D*(1, lift(p)) over one common denominator D.  Its exact steps are integer
-sweeps along a line of hyperplanes (_best_pencil_t): the offset scan moves
-the constant term, the polish each coefficient in turn.  Each bisector is
-then evaluated once at every point; those signs split the classes and are
-the sign assignment.
+Lift and recount run on one integer form.  The points share one common
+denominator D, and for each lift degree t the row of the point a/D is
+D^t * (1, lift(a/D)), whose entries a^e * D^(t-|e|) are integers, built once
+per partition (veronese_lift is the rational view of the same row).  A cut
+reads its group's rows directly; its exact steps are integer sweeps along a
+line of hyperplanes (_best_pencil_t): the offset scan moves the constant
+term, the polish each coefficient in turn.  The recount then takes each
+bisector's sign at every point from the integer dot product of its scaled
+coefficients with the point's row; those signs split the classes and are the
+sign assignment.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,18 +67,28 @@ def monomial_exponents(dim: int, degree: int) -> list[tuple[int, ...]]:
 
 
 def veronese_lift(point: Sequence, degree: int) -> tuple[Fraction, ...]:
-    """All monomials of degree 1..degree at the point; length C(d+t,d)-1."""
+    """All monomials of degree 1..degree at the point; length C(d+t,d)-1.
+    The rational view of the integer lift: its row divided by D^degree."""
     if degree < 1:
         raise ValueError("lift degree must be >= 1")
     pt = [Fraction(c) for c in point]
-    vals = []
-    for exp in monomial_exponents(len(pt), degree):
-        v = Fraction(1)
-        for x, e in zip(pt, exp):
-            if e:
-                v *= x**e
-        vals.append(v)
-    return tuple(vals)
+    den, nums = _integer_form([pt])
+    (row,) = _lift_rows(nums, den, len(pt), degree)
+    return tuple(Fraction(x, row[0]) for x in row[1:])
+
+
+def _lift_rows(nums, den, dim, degree):
+    """The integer rows den^degree * (1, lift(a/den)) of integer points a in
+    Z^dim: (den^degree, then a^e * den^(degree-|e|) for each exponent e in
+    monomial_exponents order)."""
+    exps = monomial_exponents(dim, degree)
+    return [
+        [den**degree] + [
+            math.prod((x**k for x, k in zip(a, e) if k), start=den ** (degree - sum(e)))
+            for e in exps
+        ]
+        for a in nums
+    ]
 
 
 def lift_dimension(dim: int, degree: int) -> int:
@@ -109,6 +124,36 @@ class CutResult:
     strict_ok: bool  # every side <= ceil(n/2)
     delta_ok: bool
     restarts_used: int  # attempts spent on this cut
+    # the work spent on this cut over all its attempts
+    polish_rounds: int = 0
+    pencil_sweeps: int = 0  # offset scans and polish sweeps
+    seconds: float = field(default=0.0, compare=False)
+
+
+class IntegerRows(NamedTuple):
+    """Point sets of Q^dim in one integer form: rows[k][i] is den*(1, p) for
+    the i-th point p of set k, with den > 0 common to every row."""
+
+    den: int
+    rows: list[list[list[int]]]
+    dim: int
+
+    @classmethod
+    def of(cls, sets: Sequence[Sequence[Sequence]]) -> "IntegerRows":
+        """The rows of rational point sets, over their least common
+        denominator."""
+        points = [[tuple(Fraction(c) for c in p) for p in s] for s in sets]
+        dim = len(points[0][0]) if points and points[0] else 0
+        _check_dimension((p for s in points for p in s), dim)
+        sizes = [len(s) for s in points]
+        den, flat = _integer_form([(1, *p) for s in points for p in s])
+        ends = list(itertools.accumulate(sizes))
+        return cls(den, [flat[e - n : e] for e, n in zip(ends, sizes)], dim)
+
+
+def _check_dimension(points, dim):
+    if any(len(p) != dim for p in points):
+        raise ValueError("all points must share a dimension")
 
 
 def _integer_form(vectors):
@@ -325,7 +370,8 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
     applies any move that strictly improves the overflow key; every step is
     exact, so the key decreases monotonically and near-miss cuts (a side one
     or two points over target) are repaired deterministically.  Returns the
-    polished coefficients and their exact per-set counts.
+    polished coefficients, their exact per-set counts, and the rounds and
+    pencil sweeps spent.
 
     The arithmetic runs on Python ints: rows are the cut's integer rows
     D*(1, p), and the coefficients are scaled by their common denominator
@@ -358,8 +404,10 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
             pairs.append(((j1, 1), (j2, 1)))
             pairs.append(((j1, 1), (j2, -1)))
 
+    sweeps = 0
+
     def sweep_round(directions):
-        nonlocal coeffs, scale, avals, counts, current
+        nonlocal coeffs, scale, avals, counts, current, sweeps
         improved = False
         for direction in directions:
             if len(direction) == 1:
@@ -369,6 +417,7 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
                 (j1, _), (j2, w2) = direction
                 bvals = [[q[j1] + w2 * q[j2] for q in s] for s in rows]
             found = _best_pencil_t(avals, bvals, targets, scale)
+            sweeps += 1
             if found is None:
                 continue
             total_over, max_over, zeros, _, t = found
@@ -388,14 +437,16 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
                 return improved
         return improved
 
+    rounds = 0
     for _ in range(max_rounds):
         if _strict_ok(counts):
             break
+        rounds += 1
         if sweep_round(axis):
             continue
         if not sweep_round(pairs):
             break
-    return coeffs, counts
+    return coeffs, counts, rounds, sweeps
 
 
 def _descend(arrays, dim, rng, sigma_schedule):
@@ -428,7 +479,7 @@ def _descend(arrays, dim, rng, sigma_schedule):
 
 
 def ham_sandwich_bisect(
-    sets: Sequence[Sequence[Sequence]],
+    sets: Sequence[Sequence[Sequence]] | IntegerRows,
     delta: float = 0.1,
     restarts: int = 200,
     seed: int = 0,
@@ -443,35 +494,36 @@ def ham_sandwich_bisect(
     carrying the best cut found.
 
     Every exact step reads one integer form of the points: the rows
-    D*(1, p), D the common denominator of all coordinates.  The offset step
-    is the pencil sweep along the constant term, and the polish sweeps the
-    same rows.  The descent's floats are the correctly rounded ratios
-    row/D, the same floats as those of the rational coordinates.
+    D*(1, p), D > 0 common to all of them.  Rational point sets reach their
+    rows through IntegerRows.of; an IntegerRows value is read as it is.  The
+    offset step is the pencil sweep along the constant term, and the polish
+    sweeps the same rows.  The descent's floats are the correctly rounded
+    ratios row/D, the same floats as those of the rational coordinates.
+    Every step depends only on these ratios, so any D gives the same cut.
     """
-    lifted = [[tuple(Fraction(c) for c in p) for p in s] for s in sets]
-    dim = len(lifted[0][0]) if lifted and lifted[0] else 0
-    if any(len(p) != dim for s in lifted for p in s):
-        raise ValueError("all points must share a dimension")
+    started = time.perf_counter()
+    den, rows, dim = sets if isinstance(sets, IntegerRows) else IntegerRows.of(sets)
     # more sets than dimensions leaves no guarantee of a common bisector,
     # but the exact offset scan can still find one (interleaved sets); let
     # the restart budget decide instead of rejecting up front
-    sizes = [len(s) for s in lifted]
-    targets = [-(-n // 2) for n in sizes]  # ceil(n/2)
-
-    den, flat = _integer_form([(1, *p) for s in lifted for p in s])
-    ends = list(itertools.accumulate(sizes))
-    rows = [flat[e - n : e] for e, n in zip(ends, sizes)]
+    targets = [-(-len(s) // 2) for s in rows]  # ceil(n/2)
     arrays = [
         np.array([[x / den for x in q] for q in s], dtype=float)
         if s
         else np.zeros((0, dim + 1))
         for s in rows
     ]
-    extent = max((abs(x) for q in flat for x in q), default=den) / den
+    extent = max((abs(x) for s in rows for q in s for x in q), default=den) / den
     sigma_schedule = [extent * s for s in (0.5, 0.1, 0.02, 0.004)]
 
     rng = np.random.default_rng(seed)
     best: CutResult | None = None
+    rounds = sweeps = 0
+
+    def spent(cut, attempts):
+        return replace(cut, restarts_used=attempts, polish_rounds=rounds,
+                       pencil_sweeps=sweeps,
+                       seconds=time.perf_counter() - started)
 
     for attempt in range(max(restarts, 1)):
         h = _descend(arrays, dim + 1, rng, sigma_schedule)
@@ -480,9 +532,14 @@ def ham_sandwich_bisect(
             continue
         scale, avals = _exact_projections(rows, normal)
         coeffs = [_best_offset(avals, scale * den, targets)] + normal
+        sweeps += 1
         counts = _counts(_integer_values(rows, coeffs)[1])
         if not _strict_ok(counts):
-            coeffs, counts = _pencil_polish(rows, coeffs, targets)
+            coeffs, counts, polish_rounds, polish_sweeps = _pencil_polish(
+                rows, coeffs, targets
+            )
+            rounds += polish_rounds
+            sweeps += polish_sweeps
 
         result = CutResult(
             tuple(coeffs),
@@ -492,15 +549,15 @@ def ham_sandwich_bisect(
             attempt + 1,
         )
         if result.strict_ok:
-            return result
+            return spent(result, attempt + 1)
         if best is None or _badness(result, targets) < _badness(best, targets):
             best = result
         # give strict balance a fair shot, then settle for the tolerance
         if best.delta_ok and attempt + 1 >= min(60, restarts):
-            return replace(best, restarts_used=attempt + 1)
+            return spent(best, attempt + 1)
 
     if best is not None:
-        best = replace(best, restarts_used=max(restarts, 1))
+        best = spent(best, max(restarts, 1))
         if best.delta_ok:
             return best
     raise BudgetExhaustedError(
@@ -606,13 +663,16 @@ def polynomial_partition(
     seed: int = 0,
 ) -> PartitionResult:
     """Iterated simultaneous bisection; deg(product) <= r; occupancy verified
-    by exact recount."""
+    by exact recount on the integer rows of the lifted points."""
     if r < 2:
         raise ValueError("partition parameter r must be >= 2")
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise ValueError("no points to partition")
     dim = len(pts[0])
+    _check_dimension(pts, dim)
+    den, nums = _integer_form(pts)
+    lifts: dict[int, list[list[int]]] = {}  # lift degree -> row of every point
     stages = stage_schedule(dim, r)
     bisectors: list[MultiPoly] = []
     cut_degrees: list[int] = []
@@ -630,7 +690,12 @@ def polynomial_partition(
         next_classes: list[list[int]] = []
         for group in groups:
             t = min_lift_degree(dim, len(group))
-            sets = [[veronese_lift(pts[i], t) for i in c] for c in group]
+            if t not in lifts:
+                lifts[t] = _lift_rows(nums, den, dim, t)
+            rows = lifts[t]
+            sets = IntegerRows(
+                den**t, [[rows[i] for i in c] for c in group], lift_dimension(dim, t)
+            )
             cut = ham_sandwich_bisect(
                 sets,
                 delta=delta,
@@ -642,10 +707,10 @@ def polynomial_partition(
             bisectors.append(bisector)
             cut_degrees.append(t)
             cuts.append(cut)
-            # exact recount, never trusting the search: one evaluation per
-            # point, whose sign splits the group's classes and is this
+            # exact recount, never trusting the search: one integer value
+            # per point, whose sign splits the group's classes and is this
             # bisector's entry of every point's sign vector
-            signs = [_sign(bisector.evaluate(p)) for p in pts]
+            signs = [_sign(v) for v in _integer_values([rows], cut.coeffs)[1][0]]
             columns.append(signs)
             for c in group:
                 neg_idx = [i for i in c if signs[i] < 0]

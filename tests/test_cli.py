@@ -144,6 +144,10 @@ class TestPartitionFoliateBoundFit:
             assert cut["restarts_used"] >= 1
             assert isinstance(cut["strict_ok"], bool)
             assert sum(sum(c) for c in cut["counts"]) <= 64
+            # each attempt runs one offset scan, and polishes run sweeps
+            assert cut["pencil_sweeps"] >= cut["restarts_used"]
+            assert cut["polish_rounds"] >= 0
+            assert cut["seconds"] >= 0
         # the first cut bisects every point
         assert sum(cuts[0]["counts"][0]) == 64
 

@@ -5,16 +5,21 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from incidencekit import partition
 from incidencekit.partition import (
     CutResult,
+    IntegerRows,
     PartitionResult,
     _best_offset,
     _best_pencil_t,
     _gap_samples,
+    _integer_form,
+    _lift_rows,
     ham_sandwich_bisect,
     hyperplane_poly,
     lift_dimension,
@@ -118,6 +123,21 @@ class TestHamSandwich:
         c1 = ham_sandwich_bisect(sets, seed=7)
         c2 = ham_sandwich_bisect([list(s) for s in sets], seed=7)
         assert c1.coeffs == c2.coeffs
+        assert c1 == c2  # seconds differ but take no part in equality
+
+    def test_integer_rows_give_the_same_cut(self):
+        # rows over a larger common denominator are a positive multiple of
+        # the least one, which changes no ratio and so no step of the search
+        sets = [mixed_points(30, s, 2) for s in (1, 2)]
+        rational = ham_sandwich_bisect(sets, seed=3)
+        least = IntegerRows.of(sets)
+        scaled = IntegerRows(least.den * 6, [[[6 * x for x in q] for q in s]
+                                             for s in least.rows], least.dim)
+        assert ham_sandwich_bisect(scaled, seed=3) == rational
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError, match="share a dimension"):
+            ham_sandwich_bisect([[(Fraction(1), Fraction(2))], [(Fraction(3),)]])
 
 
 def _sign(x):
@@ -457,12 +477,117 @@ class TestPartition:
             b.total_degree for b in result.bisectors
         )
 
+    def test_mixed_dimensions_raise_before_any_lift(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("lift or descent ran on mixed dimensions")
+
+        monkeypatch.setattr(partition, "_lift_rows", unreachable)
+        monkeypatch.setattr(partition, "_descend", unreachable)
+        points = [(0, 0), (1, 2), (Fraction(1, 3), 5, 7), (2, 1)]
+        with pytest.raises(ValueError, match="all points must share a dimension"):
+            polynomial_partition(points, r=4)
+
+    def test_cut_work_counts(self, monkeypatch):
+        # every pencil sweep (offset scans and polish sweeps) is counted on
+        # the cut that spent it
+        calls = []
+        real = partition._best_pencil_t
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(partition, "_best_pencil_t", counted)
+        result = polynomial_partition(uniform_points(64, seed=5), r=4, seed=0)
+        assert sum(cut.pencil_sweeps for cut in result.cuts) == len(calls)
+        for cut in result.cuts:
+            assert cut.pencil_sweeps >= cut.restarts_used
+            assert cut.polish_rounds >= 0 and cut.seconds > 0
+
     def test_determinism_bit_for_bit(self):
         pts = uniform_points(64, seed=3)
         r1 = polynomial_partition(pts, r=4, seed=1)
         r2 = polynomial_partition(list(pts), r=4, seed=1)
         assert r1.bisectors == r2.bisectors
         assert r1.to_obj() == r2.to_obj()
+
+
+def mixed_points(n, seed, dim):
+    """Mixed denominators, negative coordinates, and every eighth coordinate
+    zero."""
+    rng = random.Random(seed)
+    return [
+        tuple(Fraction(rng.randrange(-300, 301) if rng.randrange(8) else 0,
+                       rng.choice((1, 2, 3, 7, 12)))
+              for _ in range(dim))
+        for _ in range(n)
+    ]
+
+
+def through_first_point(real):
+    """A ham_sandwich_bisect that moves each cut's constant term so that the
+    cut passes exactly through the first point of its first set."""
+
+    def bisect(sets, **kwargs):
+        cut = real(sets, **kwargs)
+        q = sets.rows[0][0]
+        c0 = -sum(Fraction(c) * x for c, x in zip(cut.coeffs[1:], q[1:])) / q[0]
+        return replace(cut, coeffs=(c0, *cut.coeffs[1:]))
+
+    return bisect
+
+
+class TestIntegerRecount:
+    """The integer recount against MultiPoly.evaluate (through sign_class)."""
+
+    CASES = [
+        # (dim, r, points, point seed)
+        (2, 4, 40, 2), (2, 4, 48, 10), (2, 8, 56, 4), (2, 8, 64, 13),
+        (4, 2, 32, 5), (4, 2, 40, 6),
+        (3, 4, 40, 7),  # its last cut has lift degree 2
+    ]
+
+    @staticmethod
+    def assert_signs_match(points, result):
+        for p, signs in zip(points, result.sign_assignment):
+            assert signs == sign_class(p, result)
+
+    @pytest.mark.parametrize("dim, r, n, point_seed", CASES)
+    def test_sign_assignment_matches_evaluate(self, dim, r, n, point_seed):
+        points = mixed_points(n, point_seed, dim)
+        result = polynomial_partition(points, r, seed=point_seed)
+        self.assert_signs_match(points, result)
+        if dim == 3:
+            assert 2 in result.stage_degrees
+
+    @pytest.mark.parametrize("dim, r, n, point_seed", CASES)
+    def test_points_on_a_bisector(self, dim, r, n, point_seed, monkeypatch):
+        monkeypatch.setattr(partition, "ham_sandwich_bisect",
+                            through_first_point(partition.ham_sandwich_bisect))
+        points = mixed_points(n, point_seed, dim)
+        result = polynomial_partition(points, r, seed=point_seed)
+        self.assert_signs_match(points, result)
+        assert result.on_surface > 0
+
+    def test_uniform_plane_sets(self):
+        for seed in range(2):
+            points = uniform_points(64, seed)
+            self.assert_signs_match(points, polynomial_partition(points, 8, seed=seed))
+
+    @pytest.mark.parametrize("dim, degree", [(1, 3), (2, 1), (2, 2), (3, 2), (4, 2)])
+    def test_veronese_lift_is_the_row_over_den_power(self, dim, degree):
+        points = mixed_points(12, dim * 10 + degree, dim)
+        den, nums = _integer_form(points)
+        rows = _lift_rows(nums, den, dim, degree)
+        for p, row in zip(points, rows):
+            # independent oracle: each monomial as a product of Fractions
+            monomials = tuple(
+                math.prod((x**k for x, k in zip(p, e)), start=Fraction(1))
+                for e in monomial_exponents(dim, degree)
+            )
+            assert row[0] == den**degree
+            assert tuple(Fraction(x, den**degree) for x in row[1:]) == monomials
+            assert veronese_lift(p, degree) == monomials
 
 
 @pytest.fixture(scope="module")
