@@ -5,13 +5,16 @@
 
 Both revisions (--parent and --change, default HEAD) are extracted with
 `git archive` into a temporary directory, so each side runs its committed
-files and nothing else.  For each seed the script runs
-`python3 perfbench/run.py --workload W --seed S --seconds N --trace 0` once in
-each tree, one run at a time; the side that goes first alternates from pair
-to pair, so slow drifts of the machine fall on both sides alike.  It writes
+files and nothing else.  The command, the run length and the end-to-end
+metrics with their `better` and `bound` are read from BENCHMARK.json in the
+change's tree.  For each seed the script runs the command with
+`--workload W --seed S --seconds <run_seconds> --trace 0` once in each tree,
+one run at a time; the side that goes first alternates from pair to pair, so
+slow drifts of the machine fall on both sides alike.  It writes
 BENCH_<tag>.json with both SHAs, the core count, the Python version, the
-seeds, every run's metrics, each side's median and quartiles per metric, and
-the pairs the change won on the claimed metric.
+seeds, every run's metrics, the failed operations of each side, and for
+every end-to-end metric each side's median and quartiles, the pairs the
+change won, the gap between the medians and its verdict (see compare).
 """
 
 from __future__ import annotations
@@ -47,16 +50,17 @@ def extract(rev: str, into: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, command: list[str], workload: str, seed: int,
+             seconds: float) -> dict:
     """One benchmark run in `tree`; its last stdout line, parsed."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise RuntimeError(f"perfbench/run.py failed in {tree} (exit {done.returncode}): "
+        raise RuntimeError(f"{' '.join(command)} failed in {tree} (exit {done.returncode}): "
                            f"{done.stderr.strip()[-2000:]}")
     return json.loads(lines[-1])
 
@@ -70,45 +74,66 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], metric: str, better: str = "lower") -> dict:
-    """Per-side spreads of every metric both sides report, and the claim on
-    `metric`: the pairs the change won, and whether the gap between the
-    medians exceeds the parent's interquartile range.
+def compare(pairs: list[dict], metric: dict) -> dict:
+    """Both sides of one end-to-end metric, {"name", "better", "bound"} as in
+    BENCHMARK.json, and its verdict, the first of these that holds:
+
+    - "gain": the change won at least nine tenths of the pairs (ties count
+      for neither) and the gap between the medians exceeds the parent's
+      interquartile range;
+    - "worse beyond bound": the change's median is worse than the parent's
+      by more than bound times the parent's median;
+    - "unresolved": the spread of either side (interquartile range over
+      median) is wider than the bound, and not every run of the change reads
+      better than every run of the parent;
+    - "within bound".
 
     Each pair is {"seed": S, "parent": result, "change": result}, a result
     being the parsed last line of perfbench/run.py."""
-    if better not in ("lower", "higher"):
-        raise ValueError("better must be 'lower' or 'higher'")
-    names = [
-        name for name in pairs[0]["parent"]["metrics"]
-        if all(name in p[side]["metrics"] for p in pairs for side in SIDES)
-    ]
-    sides = {
-        side: {
-            name: spread([p[side]["metrics"][name]["value"] for p in pairs])
-            for name in names
-        }
-        for side in SIDES
-    }
-    sign = 1 if better == "lower" else -1
-    wins = sum(
-        sign * (p["parent"]["metrics"][metric]["value"] - p["change"]["metrics"][metric]["value"]) > 0
-        for p in pairs
-    )
-    gap = sign * (sides["parent"][metric]["median"] - sides["change"][metric]["median"])
+    name, bound = metric["name"], metric["bound"]
+    sign = 1 if metric["better"] == "lower" else -1  # gains are positive
+    values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+    sides = {side: spread(values[side]) for side in SIDES}
+    parent, change = sides["parent"], sides["change"]
+    wins = sum(sign * (a - b) > 0 for a, b in zip(values["parent"], values["change"]))
+    gap = sign * (parent["median"] - change["median"])
+    widest = max(s["iqr"] / s["median"] if s["median"] else 0.0 for s in sides.values())
+    apart = all(sign * (a - b) > 0 for a in values["parent"] for b in values["change"])
+    if 10 * wins >= 9 * len(pairs) and gap > parent["iqr"]:
+        verdict = "gain"
+    elif -gap > bound * abs(parent["median"]):
+        verdict = "worse beyond bound"
+    elif widest > bound and not apart:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
     return {
-        "metric": metric,
-        "better": better,
-        "pairs": len(pairs),
+        "better": metric["better"],
+        "bound": bound,
         "wins": wins,
         "median_gap": gap,
-        "parent_iqr": sides["parent"][metric]["iqr"],
-        "gap_exceeds_parent_iqr": gap > sides["parent"][metric]["iqr"],
-        "relative_change": (sides["change"][metric]["median"] / sides["parent"][metric]["median"] - 1
-                            if sides["parent"][metric]["median"] else None),
-        "failed_runs": sum(p[side]["failed"] > 0 or not p[side]["correct"]
-                           for p in pairs for side in SIDES),
+        "parent_iqr": parent["iqr"],
+        "relative_change": (change["median"] / parent["median"] - 1
+                            if parent["median"] else None),
+        "widest_spread": widest,
+        "verdict": verdict,
         "sides": sides,
+    }
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """compare() for every end-to-end metric, and each side's operations."""
+    return {
+        "pairs": len(pairs),
+        "operations": {
+            side: {
+                "attempted": sum(p[side]["attempted"] for p in pairs),
+                "failed": sum(p[side]["failed"] for p in pairs),
+                "incorrect_runs": sum(not p[side]["correct"] for p in pairs),
+            }
+            for side in SIDES
+        },
+        "metrics": {m["name"]: compare(pairs, m) for m in end_to_end},
     }
 
 
@@ -118,42 +143,48 @@ def main(argv=None) -> int:
     ap.add_argument("--change", default="HEAD", help="revision that claims the gain")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=36)
-    ap.add_argument("--metric", default="solve_rel")
-    ap.add_argument("--better", choices=("lower", "higher"), default="lower")
     ap.add_argument("--tag", required=True, help="the record is written to BENCH_<tag>.json")
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         shas = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
+        bench = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        command, seconds = bench["command"], bench["run_seconds"]
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"seed": seed, "order": list(order)}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
-                value = pair[side]["metrics"][args.metric]["value"]
-                print(f"seed {seed} {side}: {args.metric} {value:.4g}", file=sys.stderr)
+                pair[side] = run_once(trees[side], command, args.workload, seed, seconds)
+                shown = ", ".join(f"{m['name']} {pair[side]['metrics'][m['name']]['value']:.4g}"
+                                  for m in bench["end_to_end"])
+                print(f"seed {seed} {side}: {shown}", file=sys.stderr)
             pairs.append(pair)
 
     record = {
         "workload": args.workload,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "seeds": args.seeds,
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
         "machine": {"cores": os.cpu_count(), "python": platform.python_version()},
-        "command": ["python3", "perfbench/run.py", "--workload", args.workload,
-                    "--seed", "<seed>", "--seconds", str(args.seconds), "--trace", "0"],
-        "summary": summarize(pairs, args.metric, args.better),
+        "command": [*command, "--workload", args.workload, "--seed", "<seed>",
+                    "--seconds", str(seconds), "--trace", "0"],
+        "summary": summarize(pairs, bench["end_to_end"]),
         "runs": pairs,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     summary = record["summary"]
-    print(f"{out.name}: {args.metric} won {summary['wins']} of {summary['pairs']} pairs, "
-          f"median gap {summary['median_gap']:.4g} vs parent IQR {summary['parent_iqr']:.4g}")
+    for name, m in summary["metrics"].items():
+        print(f"{out.name} {args.workload} {name}: {m['verdict']}; median "
+              f"{m['sides']['parent']['median']:.4g} -> {m['sides']['change']['median']:.4g}, "
+              f"won {m['wins']} of {summary['pairs']} pairs, gap {m['median_gap']:.4g} vs "
+              f"parent IQR {m['parent_iqr']:.4g}, bound {m['bound']}")
+    ops = summary["operations"]
+    print(f"failed operations: parent {ops['parent']['failed']} of {ops['parent']['attempted']}, "
+          f"change {ops['change']['failed']} of {ops['change']['attempted']}")
     return 0
 
 

@@ -130,16 +130,17 @@ class CutResult:
     seconds: float = field(default=0.0, compare=False)
 
 
-class IntegerRows(NamedTuple):
+class _IntegerRows(NamedTuple):
     """Point sets of Q^dim in one integer form: rows[k][i] is den*(1, p) for
-    the i-th point p of set k, with den > 0 common to every row."""
+    the i-th point p of set k, with den > 0 common to every row.  Internal
+    to polynomial_partition, which hands each cut its group's lifted rows."""
 
     den: int
     rows: list[list[list[int]]]
     dim: int
 
     @classmethod
-    def of(cls, sets: Sequence[Sequence[Sequence]]) -> "IntegerRows":
+    def of(cls, sets: Sequence[Sequence[Sequence]]) -> "_IntegerRows":
         """The rows of rational point sets, over their least common
         denominator."""
         points = [[tuple(Fraction(c) for c in p) for p in s] for s in sets]
@@ -479,7 +480,7 @@ def _descend(arrays, dim, rng, sigma_schedule):
 
 
 def ham_sandwich_bisect(
-    sets: Sequence[Sequence[Sequence]] | IntegerRows,
+    sets: Sequence[Sequence[Sequence]] | _IntegerRows,
     delta: float = 0.1,
     restarts: int = 200,
     seed: int = 0,
@@ -495,14 +496,21 @@ def ham_sandwich_bisect(
 
     Every exact step reads one integer form of the points: the rows
     D*(1, p), D > 0 common to all of them.  Rational point sets reach their
-    rows through IntegerRows.of; an IntegerRows value is read as it is.  The
+    rows through _IntegerRows.of; polynomial_partition passes its lifted
+    rows as an _IntegerRows value, checked for D > 0 and row length.  The
     offset step is the pencil sweep along the constant term, and the polish
     sweeps the same rows.  The descent's floats are the correctly rounded
     ratios row/D, the same floats as those of the rational coordinates.
     Every step depends only on these ratios, so any D gives the same cut.
     """
     started = time.perf_counter()
-    den, rows, dim = sets if isinstance(sets, IntegerRows) else IntegerRows.of(sets)
+    if isinstance(sets, _IntegerRows):
+        den, rows, dim = sets
+        if den <= 0:
+            raise ValueError("the common denominator must be positive")
+        _check_dimension((q for s in rows for q in s), dim + 1)
+    else:
+        den, rows, dim = _IntegerRows.of(sets)
     # more sets than dimensions leaves no guarantee of a common bisector,
     # but the exact offset scan can still find one (interleaved sets); let
     # the restart budget decide instead of rejecting up front
@@ -693,7 +701,7 @@ def polynomial_partition(
             if t not in lifts:
                 lifts[t] = _lift_rows(nums, den, dim, t)
             rows = lifts[t]
-            sets = IntegerRows(
+            sets = _IntegerRows(
                 den**t, [[rows[i] for i in c] for c in group], lift_dimension(dim, t)
             )
             cut = ham_sandwich_bisect(

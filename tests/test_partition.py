@@ -13,8 +13,8 @@ import pytest
 from incidencekit import partition
 from incidencekit.partition import (
     CutResult,
-    IntegerRows,
     PartitionResult,
+    _IntegerRows,
     _best_offset,
     _best_pencil_t,
     _gap_samples,
@@ -130,14 +130,22 @@ class TestHamSandwich:
         # the least one, which changes no ratio and so no step of the search
         sets = [mixed_points(30, s, 2) for s in (1, 2)]
         rational = ham_sandwich_bisect(sets, seed=3)
-        least = IntegerRows.of(sets)
-        scaled = IntegerRows(least.den * 6, [[[6 * x for x in q] for q in s]
+        least = _IntegerRows.of(sets)
+        scaled = _IntegerRows(least.den * 6, [[[6 * x for x in q] for q in s]
                                              for s in least.rows], least.dim)
         assert ham_sandwich_bisect(scaled, seed=3) == rational
 
     def test_mixed_dimensions_raise(self):
         with pytest.raises(ValueError, match="share a dimension"):
             ham_sandwich_bisect([[(Fraction(1), Fraction(2))], [(Fraction(3),)]])
+
+    def test_malformed_integer_rows_raise(self):
+        rows = _IntegerRows.of([[(1, 2), (3, 4)], [(5, 6)]])
+        short = rows._replace(rows=[rows.rows[0], [rows.rows[1][0][:-1]]])
+        with pytest.raises(ValueError, match="share a dimension"):
+            ham_sandwich_bisect(short)
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            ham_sandwich_bisect(rows._replace(den=0))
 
 
 def _sign(x):
