@@ -55,7 +55,6 @@ from .poly import (
     gradient,
     jacobian_rank,
     parse_poly,
-    poly_eval,
     resultant,
 )
 from .roots import isolate_real_roots

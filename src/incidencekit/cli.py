@@ -1,12 +1,15 @@
 """Command-line front door.
 
 Exit codes: 0 success/certified, 1 property violated, 2 input error,
-3 indeterminate/budget exhausted.  All randomness flows from --seed
-(default 0, never entropy); every output file gets a sidecar manifest and
-reruns from a manifest reproduce outputs byte-for-byte.  A manifest records
-each input file's sha256 and its path relative to the manifest, so a rerun
-finds its inputs from any working directory and refuses (exit 2) to run on
-an input that changed.
+3 indeterminate/budget exhausted.  Input errors are this module's
+InputError and the library's ValueError, which rejects an input; a broken
+invariant is an InvariantError (a RuntimeError) and is not caught.
+
+All randomness flows from --seed (default 0, never entropy); every output
+file gets a sidecar manifest and reruns from a manifest reproduce outputs
+byte-for-byte.  A manifest records each input file's sha256 and its path
+relative to the manifest, so a rerun finds its inputs from any working
+directory and refuses (exit 2) to run on an input that changed.
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-try:  # as in `random`: hashlib loads OpenSSL (about 4 MiB resident), so
-    # prefer CPython's lean built-in module where it exists (up to 3.11)
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
-
 from . import __version__
-from .configurations import GeneratorSpec, LeafFamily, generate
+from .configurations import GeneratorSpec, LeafFamily, generate, sha256
 from .foliation import (
     FrameDegenerateError,
     Hypersurface,
@@ -43,7 +40,7 @@ from .incidence import (
     exponent_fit,
     kst_double_count,
 )
-from .partition import BudgetExhaustedError, line_crossings, polynomial_partition
+from .partition import BudgetExhaustedError, polynomial_partition
 from .poly import MultiPoly
 
 EXIT_OK = 0
@@ -262,19 +259,22 @@ def cmd_partition(args) -> int:
 def cmd_foliate(args) -> int:
     started = time.monotonic()
     hobj = _load_json(args.hypersurface)
-    if "hypersurface" in hobj:
-        Z = Hypersurface(MultiPoly.from_obj(hobj["hypersurface"]))
-    else:
-        Z = Hypersurface(MultiPoly.from_obj(hobj))
     cobj = _load_json(args.curves)
-    curve_objs = cobj["curves"] if isinstance(cobj, dict) else cobj
-    curves = [ComplexCurve(MultiPoly.from_obj(c)) for c in curve_objs]
-    samples = {}
-    if isinstance(cobj, dict) and "samples" in cobj:
-        samples = {
-            int(k): [tuple(Fraction(c) for c in p) for p in v]
-            for k, v in cobj["samples"].items()
-        }
+    try:
+        if "hypersurface" in hobj:
+            Z = Hypersurface(MultiPoly.from_obj(hobj["hypersurface"]))
+        else:
+            Z = Hypersurface(MultiPoly.from_obj(hobj))
+        curve_objs = cobj["curves"] if isinstance(cobj, dict) else cobj
+        curves = [ComplexCurve(MultiPoly.from_obj(c)) for c in curve_objs]
+        samples = {}
+        if isinstance(cobj, dict) and "samples" in cobj:
+            samples = {
+                int(k): [tuple(Fraction(c) for c in p) for p in v]
+                for k, v in cobj["samples"].items()
+            }
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise InputError(f"malformed hypersurface or curves: {exc!r}") from exc
     records = []
     any_fail = False
     for idx, curve in enumerate(curves):
@@ -346,16 +346,16 @@ def cmd_bound(args) -> int:
 def cmd_fit(args) -> int:
     started = time.monotonic()
     series = []
-    text = Path(args.series).read_text(encoding="utf-8")
+    try:
+        text = Path(args.series).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {args.series}: {exc}") from exc
     for line_no, line in enumerate(text.strip().splitlines()):
         if line_no == 0 and not line.split(",")[0].strip().isdigit():
             continue  # header row
         m, n, i = (int(x) for x in line.split(","))
         series.append((m, n, i))
-    try:
-        fit = exponent_fit(series)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fit = exponent_fit(series)
     out = Path(args.out or "fit.json")
     _write(out, _dump_json(fit.to_obj()))
     _write_manifest(
@@ -392,9 +392,12 @@ def _verified_inputs(manifest: dict, base: Path) -> dict:
 def cmd_rerun(args) -> int:
     manifest = _load_json(args.manifest)
     out_dir = Path(args.manifest).parent
-    command = manifest["command"]
-    params = {**manifest["params"], **_verified_inputs(manifest, out_dir)}
-    outputs = [out_dir / path for path in manifest["outputs"]]
+    try:
+        command = manifest["command"]
+        params = {**manifest["params"], **_verified_inputs(manifest, out_dir)}
+        outputs = [out_dir / path for path in manifest["outputs"]]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed manifest {args.manifest}: {exc!r}") from exc
     if params.get("matrix_csv"):
         if len(outputs) < 2:
             raise InputError("manifest does not record the matrix CSV's path")
@@ -425,11 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="recorded in the manifest; never changes a result")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+        if formats:  # only the commands that can write CSV take --format
+            p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None)
 
     g = sub.add_parser("generate", help="emit a configuration file")
@@ -450,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("count", help="exact incidence count")
     c.add_argument("config")
     c.add_argument("--matrix-csv", default=None)
-    common(c)
+    common(c, formats=True)
     c.set_defaults(func=cmd_count)
 
     ce = sub.add_parser("certify", help="degrees-of-freedom certificate")
@@ -465,13 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--r", type=int, required=True)
     pa.add_argument("--delta", type=float, default=0.1)
     pa.add_argument("--restarts", type=int, default=200)
-    common(pa)
+    common(pa, formats=True)
     pa.set_defaults(func=cmd_partition)
 
     fo = sub.add_parser("foliate", help="containment/tangency/defect report")
     fo.add_argument("--hypersurface", required=True)
     fo.add_argument("--curves", required=True)
-    common(fo)
+    common(fo, formats=True)
     fo.set_defaults(func=cmd_foliate)
 
     bo = sub.add_parser("bound", help="evaluate incidence bound formulas")
@@ -501,7 +505,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExhaustedError as exc:

@@ -11,10 +11,15 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+
+try:  # as in `random`: hashlib loads OpenSSL (about 4 MiB resident), so
+    # prefer CPython's lean built-in module where it exists (up to 3.11)
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .cr import ComplexCurve, realify
-from .foliation import ContainmentResult, Hypersurface, containment_check, leaf_sample_points
+from .foliation import Hypersurface, containment_check, leaf_sample_points
 from .incidence import Configuration, build_matrix, certify_dof
 from .poly import GaussianRational, MultiPoly, check_invariant
 
@@ -52,9 +57,7 @@ class GeneratorSpec:
 def _rng(name: str, seed) -> random.Random:
     # namespaced, process-independent seeding (tuple seeds would go through
     # randomized str hashing)
-    import hashlib
-
-    digest = hashlib.sha256(f"{name}:{seed}".encode()).digest()
+    digest = sha256(f"{name}:{seed}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -109,13 +112,13 @@ def gen_grid_lines(N: int) -> Configuration:
     )
 
 
-def gen_unit_circles(N: int, seed: int = 0, budget: int = 50) -> Configuration:
+def gen_unit_circles(N: int, seed: int = 0) -> Configuration:
     """N^2 rational points and N^2 unit circles with rational centers,
     arranged so each circle passes through grid-adjacent points; the (k=3,
-    s=2) claim is certified before emission."""
+    s=2) claim is certified before emission (at most 50 tries)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    for attempt in range(budget):
+    for attempt in range(50):
         rng = _rng("unit-circles", f"{seed}:{attempt}")
         centers = []
         seen = set()
@@ -155,17 +158,16 @@ def gen_unit_circles(N: int, seed: int = 0, budget: int = 50) -> Configuration:
         cert = certify_dof(build_matrix(config), 3, 2)
         if cert.status == "certified":
             return config
-    raise RuntimeError(f"unit-circle generator failed certification {budget} times")
+    raise RuntimeError("unit-circle generator failed certification 50 times")
 
 
-def gen_complex_lines_product(
-    size_a: int, size_b: int, seed: int = 0, budget: int = 50
-) -> Configuration:
+def gen_complex_lines_product(size_a: int, size_b: int, seed: int = 0) -> Configuration:
     """Cartesian-product point set A x B in C^2 with complex lines through
-    seeded point pairs; certified (k=2, s=1) before emission."""
+    seeded point pairs; certified (k=2, s=1) before emission (at most 50
+    tries)."""
     if size_a < 1 or size_b < 1:
         raise ValueError("sizes must be >= 1")
-    for attempt in range(budget):
+    for attempt in range(50):
         rng = _rng("complex-lines-product", f"{seed}:{attempt}")
         A = _distinct_gaussians(rng, size_a)
         B = _distinct_gaussians(rng, size_b)
@@ -266,6 +268,8 @@ def gen_leaf_family(g: MultiPoly, count: int, seed: int = 0,
 def gen_random(n_points: int, n_curves: int, degree: int, seed: int = 0) -> Configuration:
     """Seeded uniform rational points in a box and random bounded-degree
     curves; a null model with no certification promises."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")  # else no curve can be drawn
     rng = _rng("random", seed)
     points = []
     seen = set()

@@ -5,7 +5,7 @@ the two exceptional planes where the CR gradient vectors degenerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -27,17 +27,12 @@ class ComplexCurve:
     """An affine complex plane curve cut out by f(z1, z2) = 0."""
 
     f: MultiPoly
-    degree_bound: int | None = None
 
     def __post_init__(self):
         if self.f.num_vars != 2:
             raise ValueError("curve polynomial must be in (z1, z2)")
         if self.f.is_zero:
             raise ValueError("curve polynomial must be nonzero")
-        if self.degree_bound is None:
-            object.__setattr__(self, "degree_bound", self.f.total_degree)
-        elif self.f.total_degree > self.degree_bound:
-            raise ValueError("degree exceeds the declared bound")
 
 
 @dataclass(frozen=True)

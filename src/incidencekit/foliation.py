@@ -24,14 +24,13 @@ from typing import Sequence
 from .cr import (
     ComplexCurve,
     PiContainment,
-    RealPair,
     SingularPointError,
     iota,
     j_apply,
     pi_containment,
     realify,
 )
-from .linalg import in_span, kernel_basis, rank, same_span
+from .linalg import kernel_basis, rank, same_span
 from .poly import GaussianRational, MultiPoly, check_invariant, gradient
 
 
@@ -49,7 +48,6 @@ class Hypersurface:
     caller, never verified (no real factorization in scope)."""
 
     P: MultiPoly
-    degree_bound: int | None = None
 
     def __post_init__(self):
         if self.P.num_vars != 4:
@@ -58,8 +56,6 @@ class Hypersurface:
             raise ValueError("hypersurface polynomial must be nonzero")
         if self.P.is_gaussian:
             raise ValueError("hypersurface polynomial must have rational coefficients")
-        if self.degree_bound is None:
-            object.__setattr__(self, "degree_bound", self.P.total_degree)
 
     def contains(self, p: Sequence) -> bool:
         return self.P.evaluate(p) == 0
@@ -189,6 +185,8 @@ def _frame_vectors(g: Sequence) -> list[tuple]:
 
 
 def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
+    """Deterministic frame choice: the (i, j) maximizing the squared area of
+    X_i(p) wedge X_j(p), ties broken lexicographically."""
     best = None
     best_area = Fraction(-1)
     for i in range(4):
@@ -206,21 +204,11 @@ def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
     return best
 
 
-def choose_frame_indices(Z: Hypersurface, p: Sequence) -> tuple[int, int]:
-    """Deterministic frame choice: the (i, j) maximizing the squared area of
-    X_i(p) wedge X_j(p), ties broken lexicographically."""
-    return _widest_pair(_frame_vectors(gradient(Z.P, p)), p)
-
-
 @dataclass(frozen=True)
 class BracketDefect:
     raw: Fraction
     normalized: Fraction  # raw / |grad P(p)|^6, the frame homogeneity degree
     indices: tuple[int, int]
-
-    @property
-    def is_involutive(self) -> bool:
-        return self.raw == 0
 
 
 def bracket_defect(
@@ -330,7 +318,6 @@ def leaf_tangency_check(
 class ContainmentResult:
     status: str  # "true" | "false" | "unknown"
     residual: MultiPoly | None = None
-    evidence: tuple = ()
 
     def __bool__(self):
         return self.status == "true"
@@ -348,13 +335,11 @@ def graph_form(curve: ComplexCurve) -> MultiPoly | None:
     return coeffs[0] * (GaussianRational(-1) / GaussianRational.coerce(lead))
 
 
-def containment_check(
-    Z: Hypersurface, curve: ComplexCurve, sample_budget: int = 64
-) -> ContainmentResult:
+def containment_check(Z: Hypersurface, curve: ComplexCurve) -> ContainmentResult:
     """Does iota(curve) lie inside Z(P)?
 
     Graph-form curves z2 = g(z1) are decided symbolically by substituting the
-    parametrization into P; other curves get sampled evidence only.
+    parametrization into P; every other curve gets "unknown".
     """
     g = graph_form(curve)
     if g is not None:
@@ -365,9 +350,7 @@ def containment_check(
         residual = Z.P.substitute([x1, y1, pair_g.u, pair_g.v])
         status = "true" if residual.is_zero else "false"
         return ContainmentResult(status, residual)
-    # no parametrization: dense sampling on the curve is unavailable without
-    # root solving over Q(i); report point evidence on the curve's rational
-    # locus if any coordinates happen to satisfy it -- conservatively unknown
+    # no parametrization: deciding needs root solving over Q(i)
     return ContainmentResult("unknown")
 
 

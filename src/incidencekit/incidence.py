@@ -8,18 +8,19 @@ sampled."""
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .cr import iota, realify
-from .poly import Coef, GaussianRational, MultiPoly, coef_from_obj, coef_to_obj
+from .poly import GaussianRational, MultiPoly, coef_from_obj, coef_to_obj
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -241,15 +242,15 @@ class DofCertificate:
         }
 
 
-def certify_dof(M: IncidenceMatrix, k: int, s: int,
-                table_cap: int = SUBSET_TABLE_CAP) -> DofCertificate:
+def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
     """Certify k degrees of freedom and multiplicity type s on the arrangement.
 
     Condition 1: every k-subset of points lies on at most s curves (only
     subsets incident to some curve can violate, so the table enumerates
     per-curve k-subsets).  Condition 2: every curve pair shares at most s
     incident points.  The first violation in deterministic (curve index,
-    subset lex) order is returned as a witness."""
+    subset lex) order is returned as a witness.  Past SUBSET_TABLE_CAP
+    table entries the answer is "indeterminate"."""
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     rows = M.curve_rows()
@@ -260,10 +261,10 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int,
             continue
         n_subsets = comb(len(row), k)
         entries += n_subsets
-        if entries > table_cap:
+        if entries > SUBSET_TABLE_CAP:
             return DofCertificate(
                 k, s, "indeterminate",
-                detail=f"k-subset table exceeded cap {table_cap}",
+                detail=f"k-subset table exceeded cap {SUBSET_TABLE_CAP}",
             )
         for subset in itertools.combinations(row, k):
             curves_here = table.setdefault(subset, [])
@@ -343,18 +344,25 @@ def evaluate_bounds(m: int, n: int, k: int, s: int, eps: float, I: int) -> Bound
     ps:         m^(k/(2k-1)) n^((2k-2)/(2k-1)) + m + n
     ps_complex: m^(k/(2k-1)+eps) n^((2k-2)/(2k-1)) + m + n
     kst:        m n^(1-1/k) + n
+
+    Each is computed in decimal arithmetic with BOUND_PRECISION_DPS
+    significant digits, in a context of its own, so the caller's decimal
+    context cannot change a result.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    if k < 1:
+        raise ValueError("k must be positive")
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    with mpmath.workdps(BOUND_PRECISION_DPS):
-        mm, nn = mpmath.mpf(m), mpmath.mpf(n)
-        a = mpmath.mpf(k) / (2 * k - 1)
-        b = mpmath.mpf(2 * k - 2) / (2 * k - 1)
+    context = decimal.Context(prec=BOUND_PRECISION_DPS, rounding=decimal.ROUND_HALF_EVEN)
+    with decimal.localcontext(context):
+        mm, nn = Decimal(m), Decimal(n)
+        a = Decimal(k) / (2 * k - 1)
+        b = Decimal(2 * k - 2) / (2 * k - 1)
         ps = mm**a * nn**b + mm + nn
-        psc = mm ** (a + mpmath.mpf(eps)) * nn**b + mm + nn
-        kst = mm * nn ** (1 - mpmath.mpf(1) / k) + nn
+        psc = mm ** (a + Decimal(eps)) * nn**b + mm + nn
+        kst = mm * nn ** (1 - Decimal(1) / k) + nn
         return BoundReport(
             m, n, k, s, eps, I,
             float(ps), float(psc), float(kst),
@@ -405,13 +413,13 @@ def exponent_fit(series: Sequence[tuple[int, int, int]]) -> ExponentFit:
     return ExponentFit(float(sol[0]), float(sol[1]), float(sol[2]), resid, False)
 
 
-def project_generic(points: Sequence[Sequence], seed: int = 0, budget: int = 100):
+def project_generic(points: Sequence[Sequence], seed: int = 0):
     """Seeded random rational 2x4 projection, regenerated until exactly
-    injective on the given points."""
+    injective on the given points (at most 100 tries)."""
     import random
 
     pts = [tuple(Fraction(c) for c in p) for p in points]
-    for attempt in range(budget):
+    for attempt in range(100):
         rng = random.Random(seed * 1000003 + attempt)
         matrix = [
             [Fraction(rng.randrange(-2**16, 2**16), 2**8) for _ in range(4)]
@@ -431,6 +439,6 @@ def project_generic(points: Sequence[Sequence], seed: int = 0, budget: int = 100
         if collision is None:
             return matrix, images, True
     raise RuntimeError(
-        f"no injective projection found in {budget} attempts; "
+        "no injective projection found in 100 attempts; "
         f"last collision {collision}"
     )

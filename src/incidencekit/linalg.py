@@ -79,17 +79,11 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
     return m, pivots
 
 
-def kernel_basis(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list]:
+def kernel_basis(rows: Sequence[Sequence]) -> list[list]:
     """Basis of the right kernel {v : M v = 0}, deterministic order."""
-    if rows:
-        n_cols = len(rows[0])
-    elif n_cols is None:
-        raise ValueError("need n_cols for an empty matrix")
-    else:
-        return [
-            [Fraction(1) if j == k else Fraction(0) for j in range(n_cols)]
-            for k in range(n_cols)
-        ]
+    if not rows:
+        raise ValueError("kernel of an empty matrix: the column count is unknown")
+    n_cols = len(rows[0])
     m, pivots = rref(rows)
     free = [j for j in range(n_cols) if j not in pivots]
     basis = []

@@ -364,7 +364,7 @@ def _best_pencil_t(avals, bvals, targets, scale=1, largest=False):
     return int(total[c]), int(worst[c]), int(zeros[c]), abs(t), t
 
 
-def _pencil_polish(rows, coeffs, targets, max_rounds=8):
+def _pencil_polish(rows, coeffs, targets):
     """Exact coordinate descent over hyperplane coefficients.
 
     Sweeps each coefficient direction e_j in turn with _best_pencil_t and
@@ -372,7 +372,7 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
     exact, so the key decreases monotonically and near-miss cuts (a side one
     or two points over target) are repaired deterministically.  Returns the
     polished coefficients, their exact per-set counts, and the rounds and
-    pencil sweeps spent.
+    pencil sweeps spent; it stops after 8 rounds.
 
     The arithmetic runs on Python ints: rows are the cut's integer rows
     D*(1, p), and the coefficients are scaled by their common denominator
@@ -439,7 +439,7 @@ def _pencil_polish(rows, coeffs, targets, max_rounds=8):
         return improved
 
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(8):
         if _strict_ok(counts):
             break
         rounds += 1

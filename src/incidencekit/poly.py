@@ -57,10 +57,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self):
         return not self.is_zero
 
@@ -531,10 +527,6 @@ def coef_from_obj(obj) -> Coef:
 # -- free functions mirroring the kernel operations --------------------------
 
 
-def poly_eval(p: MultiPoly, point: Sequence[Scalar]) -> Coef:
-    return p.evaluate(point)
-
-
 def gradient(p: MultiPoly, point: Sequence[Scalar]) -> list[Coef]:
     if len(point) != p.num_vars:
         raise ValueError("point length must equal the variable count")
@@ -590,13 +582,6 @@ def jacobian_rank(polys: Iterable[MultiPoly], point: Sequence[Scalar]) -> int:
 
 # -- expression parsing (CLI input like "z1^3 + i*z1") ------------------------
 
-_VAR_SETS = {
-    ("z1", "z2"): 2,
-    ("x", "y"): 2,
-    ("x1", "y1", "x2", "y2"): 4,
-}
-
-
 def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
     """Parse an arithmetic expression into a MultiPoly.
 
@@ -608,7 +593,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
         name: MultiPoly.variable(k, nv) for k, name in enumerate(variables)
     }
     env["i"] = MultiPoly.constant(I_UNIT, nv)
-    tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+    try:
+        tree = ast.parse(text.replace("^", "**").strip(), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc.msg}") from exc
 
     def walk(node):
         if isinstance(node, ast.Expression):
@@ -634,7 +622,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                     raise ValueError("can only divide by a constant")
                 c = right.terms.get((0,) * nv)
                 if c is None:
-                    raise ZeroDivisionError("division by zero")
+                    raise ValueError("division by zero")
                 return left * (1 / c)
             raise ValueError(f"unsupported operator {node.op!r}")
         if isinstance(node, ast.UnaryOp):

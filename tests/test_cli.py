@@ -176,6 +176,52 @@ class TestPartitionFoliateBoundFit:
         assert abs(obj["a"] - 1.0) < 1e-6
 
 
+INPUT_ERRORS = {
+    "grid of size 0": ["generate", "--family", "grid-lines", "--n", 0],
+    "unparsable leaf": ["generate", "--family", "leaf", "--g", "z1^"],
+    "non-integer series row": ["fit", "--series", "bad.csv"],
+    "missing series": ["fit", "--series", "missing.csv"],
+    "zero hypersurface": ["foliate", "--hypersurface", "zero.json", "--curves", "leaf.json"],
+    "partition r = 1": ["partition", "g.json", "--r", 1],
+    "bound m = 0": ["bound", "--m", 0, "--n", 1, "--k", 2, "--i", 0],
+    "manifest without params": ["rerun", "--manifest", "noparams.manifest.json"],
+    "random curves of degree 0": ["generate", "--family", "random", "--degree", 0],
+    "leaf dividing by zero": ["generate", "--family", "leaf", "--g", "z1/0"],
+    "samples not a mapping": ["foliate", "--hypersurface", "leaf.json", "--curves", "listed.json"],
+}
+
+
+class TestInputErrors:
+    """Bad input exits 2; exit 1 means a property was violated."""
+
+    @pytest.fixture()
+    def inputs(self, ws):
+        run(["generate", "--family", "grid-lines", "--n", 2, "--out", "g.json"])
+        run(["generate", "--family", "leaf", "--g", "z1", "--count", 2, "--out", "leaf.json"])
+        Path("bad.csv").write_text("m,n,I\n1,2,x\n")
+        Path("zero.json").write_text(json.dumps({"vars": 4, "terms": []}))
+        leaf = json.loads(Path("leaf.json").read_text())
+        Path("listed.json").write_text(json.dumps({**leaf, "samples": [1]}))
+        Path("noparams.manifest.json").write_text(json.dumps(
+            {"command": "count", "inputs": [], "outputs": ["c.json"]}))
+
+    @pytest.mark.parametrize("argv", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+    def test_exit2(self, inputs, argv, capsys):
+        assert run(argv) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--family", "grid-lines", "--n", 2],
+        ["certify", "g.json", "--k", 2, "--s", 1],
+        ["bound", "--m", 2, "--n", 2, "--k", 2, "--i", 0],
+        ["fit", "--series", "s.csv"],
+    ])
+    def test_format_only_where_honoured(self, ws, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--format", "csv"])
+        assert exc.value.code == 2
+
+
 class TestDeterminism:
     def test_rerun_from_manifest_byte_identical(self, ws):
         run(["generate", "--family", "grid-lines", "--n", 3, "--out", "g.json"])

@@ -26,7 +26,7 @@ from incidencekit.cr import (
     tangent_contains_pi,
 )
 from incidencekit.linalg import rank, same_span
-from incidencekit.poly import GaussianRational, I_UNIT, MultiPoly, gradient, poly_eval
+from incidencekit.poly import GaussianRational, I_UNIT, MultiPoly, gradient
 
 
 def gauss(re_n, re_d=1, im_n=0, im_d=1):
@@ -105,9 +105,9 @@ class TestRealify:
                     for _ in range(2)
                 )
                 rp = iota(p)
-                fval = poly_eval(curve.f, list(p))
+                fval = curve.f.evaluate(list(p))
                 assert fval == GaussianRational(
-                    poly_eval(pair.u, list(rp)), poly_eval(pair.v, list(rp))
+                    pair.u.evaluate(list(rp)), pair.v.evaluate(list(rp))
                 )
 
 

@@ -1,5 +1,6 @@
 """Incidence matrices, certification, double counting, bounds, fits."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -224,7 +225,7 @@ class TestCertify:
 
     def test_cap_triggers_indeterminate(self):
         M = IncidenceMatrix(40, 1, frozenset((i, 0) for i in range(40)))
-        cert = certify_dof(M, 20, 1, table_cap=1000)
+        cert = certify_dof(M, 20, 1)
         assert cert.status == "indeterminate"
 
     def test_witness_deterministic(self):
@@ -260,6 +261,56 @@ class TestKst:
             cert = certify_dof(M, 2, 1)
             assert cert.status == "certified"
             assert kst_double_count(M, 2, 1).holds
+
+
+# (m, n, k, s, eps, I) -> (ps_value, ps_complex_value, kst_value, ratio_ps,
+# ratio_ps_complex, kst_regime), recorded when the bounds were evaluated with
+# mpmath at 30 digits: AC7's inputs, k = 1, eps = 0.999, m = n = 10^6 and
+# seeded random inputs up to 10^7.
+PINNED_BOUNDS = [
+    ((16, 16, 2, 1, 0.05, 38),
+     (72.31747359663593, 78.3126155980921, 80.0, 0.525460834154025, 0.4852347186948737, True)),
+    ((36, 36, 2, 1, 0.05, 88),
+     (190.86938096020657, 214.19526209274164, 252.0, 0.4610482810668658, 0.4108400864716514, True)),
+    ((64, 64, 2, 1, 0.05, 146),
+     (384.0, 443.1729698162986, 576.0, 0.3802083333333333, 0.3294424749337015, True)),
+    ((100, 100, 2, 1, 0.05, 264),
+     (664.1588833612778, 784.3414133735176, 1100.0, 0.3974952479200579, 0.33658811774902214, True)),
+    ((1, 1, 1, 1, 0.0, 0),
+     (3.0, 3.0, 2.0, 0.0, 0.0, True)),
+    ((54, 27, 1, 1, 0.0, 81),
+     (135.0, 135.0, 81.0, 0.6, 0.6, True)),
+    ((54, 27, 2, 1, 0.0, 81),
+     (209.57948520942415, 209.57948520942415, 307.59223082615813, 0.38648820956430935, 0.38648820956430935, True)),
+    ((1000000, 1000000, 2, 1, 0.0, 0),
+     (102000000.0, 102000000.0, 1001000000.0, 0.0, 0.0, True)),
+    ((1000000, 1000000, 3, 2, 0.25, 1000000000),
+     (253188643.150958, 7945282347.242815, 10001000000.0, 3.949624230988009, 0.12586085129460775, True)),
+    ((4096, 4096, 2, 1, 0.01, 0),
+     (73728.0, 79412.25595050774, 266240.0, 0.0, 0.0, True)),
+    ((1, 100, 2, 1, 0.0, 0),
+     (122.54434690031884, 122.54434690031884, 110.0, 0.0, 0.0, False)),
+    ((1000, 999, 4, 3, 0.999, 12345),
+     (21289.427268645977, 19159631.90138912, 178693.55336981956, 0.5798652938954872, 0.0006443234433488755, True)),
+    ((10000000, 10000000, 8, 1, 0.999, 10000000000),
+     (18498497974.222908, 1.8183047226419955e+17, 13335224321633.24, 0.5405844309054008, 5.499628239138051e-08, True)),
+    ((6491494, 4854272, 2, 2, 0.14771063166745468, 945297950),
+     (1008997997.6854608, 10132613453.700312, 14307181618.528133, 0.9368680137804215, 0.09329260948514603, True)),
+    ((7903609, 7843572, 7, 2, 0.2644684442432641, 352083490),
+     (11993638485.222431, 799182728892.7384, 6418141829427.221, 0.029355853141130452, 0.0004405544280064823, True)),
+    ((5743717, 5758898, 5, 3, 0.9033369552418609, 771649109),
+     (5823130603.350609, 7415264761757874.0, 1470504112957.602, 0.1325144774455163, 1.0406224643246207e-07, True)),
+    ((2915855, 2854932, 1, 3, 0.18508921799899436, 349579245),
+     (8686642.0, 51619209.00488615, 5770787.0, 40.2433120876859, 6.772270473321466, True)),
+    ((3135814, 3351063, 3, 3, 0.5875037451065505, 415876),
+     (1318554597.0159082, 8601747821308.826, 70225161665.70403, 0.00031540294269284815, 4.8347848441890393e-08, True)),
+    ((1675333, 637586, 5, 2, 0.43465702492824243, 991177256),
+     (416716966.2385456, 210270356552.47095, 73745566443.93262, 2.3785382797028, 0.0047138230621331595, True)),
+    ((314341, 6797222, 2, 3, 0.7058438628076026, 346722806),
+     (173002116.63722867, 1259304884390.3027, 826330810.2052836, 2.0041535487513684, 0.0002753287232486731, True)),
+    ((2886073, 1686050, 2, 3, 0.6976659614424559, 143596962),
+     (291728527.99127156, 9231137813453.9, 3749193774.0839357, 0.49222804155888517, 1.5555716413497254e-05, True)),
+]
 
 
 class TestBounds:
@@ -300,6 +351,25 @@ class TestBounds:
             evaluate_bounds(0, 1, 2, 1, 0.0, 0)
         with pytest.raises(ValueError):
             evaluate_bounds(1, 1, 2, 1, 1.5, 0)
+        with pytest.raises(ValueError):
+            evaluate_bounds(1, 1, 0, 1, 0.0, 0)
+
+    @pytest.mark.parametrize("args, values", PINNED_BOUNDS)
+    def test_pinned_values(self, args, values):
+        m, n, k, s, eps, I = args
+        ps, psc, kst, ratio_ps, ratio_psc, kst_regime = values
+        assert evaluate_bounds(*args).to_obj() == {
+            "m": m, "n": n, "k": k, "s": s, "eps": eps, "I": I,
+            "ps_value": ps, "ps_complex_value": psc, "kst_value": kst,
+            "ratio_ps": ratio_ps, "ratio_ps_complex": ratio_psc,
+            "kst_regime": kst_regime, "precision_dps": 30,
+        }
+
+    def test_caller_decimal_context_is_ignored(self):
+        expected = [evaluate_bounds(*args).to_obj() for args, _ in PINNED_BOUNDS]
+        coarse = decimal.Context(prec=5, rounding=decimal.ROUND_FLOOR)
+        with decimal.localcontext(coarse):
+            assert [evaluate_bounds(*args).to_obj() for args, _ in PINNED_BOUNDS] == expected
 
 
 class TestExponentFit:

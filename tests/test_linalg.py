@@ -4,6 +4,8 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from incidencekit.linalg import (
     det,
     in_span,
@@ -62,7 +64,7 @@ class TestKernel:
         rng = random.Random(21)
         for _ in range(20):
             m = rand_matrix(rng, 2, 4)
-            basis = kernel_basis(m, 4)
+            basis = kernel_basis(m)
             assert len(basis) == 4 - rank(m)
             for v in basis:
                 for row in m:
@@ -70,10 +72,14 @@ class TestKernel:
 
     def test_known_kernel(self):
         m = [[Fraction(1), Fraction(0), Fraction(-1), Fraction(0)]]
-        basis = kernel_basis(m, 4)
+        basis = kernel_basis(m)
         assert len(basis) == 3
         assert in_span([1, 0, 1, 0], basis)
         assert not in_span([1, 0, 0, 0], basis)
+
+    def test_empty_matrix_raises(self):
+        with pytest.raises(ValueError):
+            kernel_basis([])
 
 
 class TestSpan:

@@ -14,7 +14,6 @@ from incidencekit.poly import (
     gradient,
     jacobian_rank,
     parse_poly,
-    poly_eval,
     resultant,
 )
 
@@ -97,14 +96,14 @@ class TestEval:
         # x1^2 + y1^2 at the origin
         x1, y1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
         p = x1 * x1 + y1 * y1
-        assert poly_eval(p, [0, 0, 0, 0]) == 0
+        assert p.evaluate([0, 0, 0, 0]) == 0
 
     def test_hand_expansion(self):
         # x1*x2 - y1*y2 at (1,2,3,4): 3 - 8 = -5
         v = [MultiPoly.variable(i, 4) for i in range(4)]
         p = v[0] * v[2] - v[1] * v[3]
         point = [Fraction(c) for c in (1, 2, 3, 4)]
-        assert poly_eval(p, point) == -5
+        assert p.evaluate(point) == -5
         # term-by-term oracle
         total = Fraction(0)
         for exp, coef in p.terms.items():
@@ -117,12 +116,12 @@ class TestEval:
     def test_gaussian_point(self):
         z1, z2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
         p = z1 * z2
-        assert poly_eval(p, [I_UNIT, I_UNIT]) == GaussianRational(-1)
+        assert p.evaluate([I_UNIT, I_UNIT]) == GaussianRational(-1)
 
     def test_dimension_mismatch(self):
         p = MultiPoly.variable(0, 2)
         with pytest.raises(ValueError):
-            poly_eval(p, [1, 2, 3])
+            p.evaluate([1, 2, 3])
 
 
 class TestDerivative:
@@ -145,14 +144,14 @@ class TestDerivative:
             p = rand_poly(rng, 3, 5)
             var = rng.randrange(3)
             point = rand_point(rng, 3)
-            deriv = poly_eval(p.partial(var), point)
+            deriv = p.partial(var).evaluate(point)
 
             def central(h):
                 up = list(point)
                 dn = list(point)
                 up[var] += h
                 dn[var] -= h
-                return (poly_eval(p, up) - poly_eval(p, dn)) / (2 * h)
+                return (p.evaluate(up) - p.evaluate(dn)) / (2 * h)
 
             h = Fraction(1, 64)
             e1 = abs(central(h) - deriv)
@@ -191,7 +190,7 @@ class TestGradient:
             up, dn = list(point), list(point)
             up[var] += h
             dn[var] -= h
-            approx = (poly_eval(p, up) - poly_eval(p, dn)) / (2 * h)
+            approx = (p.evaluate(up) - p.evaluate(dn)) / (2 * h)
             assert abs(approx - grad[var]) < Fraction(1, 100)
 
 
@@ -289,8 +288,8 @@ class TestRingAxioms:
     @settings(max_examples=50, deadline=None)
     @given(polys(), polys(), points())
     def test_eval_is_ring_hom(self, p, q, pt):
-        assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
-        assert poly_eval(p + q, pt) == poly_eval(p, pt) + poly_eval(q, pt)
+        assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+        assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
 
     @settings(max_examples=30, deadline=None)
     @given(polys(), polys())
@@ -347,3 +346,7 @@ class TestParse:
     def test_parse_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             parse_poly("w + 1", ["z1"])
+
+    def test_parse_rejects_malformed_text(self):
+        with pytest.raises(ValueError):
+            parse_poly("z1^", ["z1"])

@@ -1,15 +1,61 @@
 """Source-level guards over the package."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import incidencekit
+
+SRC = Path(incidencekit.__file__).parent
 
 
 def test_no_assert_statements_in_src():
     # invariants raise explicit exceptions; `assert` would vanish under -O
     found = []
-    for path in sorted(Path(incidencekit.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert not found, f"assert statements in src: {found}"
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep).group(0) for dep in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == declared == {"numpy", "scipy"}
+
+
+def test_generators_and_bounds_load_neither_mpmath_nor_hashlib():
+    # hashlib loads OpenSSL (about 4 MiB resident); where CPython has the
+    # lean _sha256 module, seeding and manifest hashing use that instead
+    script = """
+import importlib.util, json, sys
+import incidencekit
+from incidencekit.configurations import gen_complex_lines_product, rational_sphere_points
+from incidencekit.incidence import evaluate_bounds
+gen_complex_lines_product(4, 4)
+rational_sphere_points(8)
+evaluate_bounds(54, 27, 2, 1, 0.05, 81)
+print(json.dumps({"mpmath": "mpmath" in sys.modules, "hashlib": "hashlib" in sys.modules,
+                  "lean_sha256": importlib.util.find_spec("_sha256") is not None}))
+"""
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout)
+    assert not loaded["mpmath"]
+    if loaded["lean_sha256"]:
+        assert not loaded["hashlib"]
