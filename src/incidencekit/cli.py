@@ -409,11 +409,10 @@ def cmd_rerun(args) -> int:
         flag = "--" + key.replace("_", "-")
         if command in ("count", "certify", "partition") and key == "config":
             continue
-        argv.append(flag)
-        argv.append(str(value))
+        argv.append(f"{flag}={value}")
     if "config" in params:
         argv.insert(1, params["config"])
-    argv += ["--out", str(outputs[0])]
+    argv.append(f"--out={outputs[0]}")
     return main(argv)
 
 

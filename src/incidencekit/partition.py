@@ -34,6 +34,8 @@ import numpy as np
 
 from .poly import MultiPoly
 from .roots import (
+    _halve,
+    _sign,
     isolate_real_roots,
     poly_eval_coeffs,
     poly_gcd,
@@ -111,10 +113,6 @@ def hyperplane_poly(coeffs: Sequence[Fraction], dim: int, degree: int) -> MultiP
         if c:
             terms[exp] = c
     return MultiPoly(dim, terms)
-
-
-def _sign(x: Fraction) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 @dataclass
@@ -206,8 +204,8 @@ def _delta_ok(counts, delta):
     return True
 
 
-def _snap(x: float, limit: int = SNAP_DENOMINATOR) -> Fraction:
-    return Fraction(x).limit_denominator(limit)
+def _snap(x: float) -> Fraction:
+    return Fraction(x).limit_denominator(SNAP_DENOMINATOR)
 
 
 def _best_offset(avals, scale, targets):
@@ -792,13 +790,12 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
     restricted = [bi.substitute([x_t, y_t]) for bi in result.bisectors]
     if any(rb.is_zero for rb in restricted):
         return CrossingReport(True, True, 0, 0)
-    roots = _product_roots(
-        [rb.univariate_coeffs() for rb in restricted if rb.total_degree > 0]
-    )
+    coeffs = [rb.univariate_coeffs() for rb in restricted]
+    roots = _product_roots([c for c in coeffs if len(c) > 1])
     samples = _gap_samples(roots)
     visited = []
     for tv in samples:
-        vec = tuple(_sign(rb.evaluate([tv])) for rb in restricted)
+        vec = tuple(_sign(poly_eval_coeffs(c, tv)) for c in coeffs)
         if vec not in visited:
             visited.append(vec)
     return CrossingReport(
@@ -811,9 +808,11 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
 
 
 def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
-    """Sorted intervals, one per distinct real root of the product of the
-    factors (ascending coefficient lists), strictly separated so that every
-    gap between them is free of roots.
+    """Sorted, strictly separated intervals, one per distinct real root of
+    the product of the factors (ascending coefficient lists), in the form
+    isolate_real_roots gives: (r, r) for an exact root, else an open interval
+    that holds exactly one root and whose ends are not roots of the product.
+    So every gap between them is free of roots.
 
     Each factor is isolated on its own, which is far cheaper than isolating
     the product.  Where intervals of different factors overlap, a gcd decides
@@ -843,19 +842,6 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
             poly_eval_coeffs(h, hi)
         )
 
-    def bisect(e):
-        lo, hi, f = e
-        if lo == hi:
-            return
-        mid = (lo + hi) / 2
-        v = _sign(poly_eval_coeffs(sfs[f], mid))
-        if v == 0:
-            e[0] = e[1] = mid
-        elif v != _sign(poly_eval_coeffs(sfs[f], lo)):
-            e[1] = mid
-        else:
-            e[0] = mid
-
     while True:
         entries.sort(key=lambda e: (e[0], e[1]))
         clash = next(
@@ -874,8 +860,10 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
                 e1[0], e1[1] = max(e1[0], e2[0]), min(e1[1], e2[1])
             del entries[clash + 1]
         else:
-            bisect(e1)
-            bisect(e2)
+            for e in (e1, e2):
+                lo, hi, f = e
+                if lo != hi:
+                    e[:2] = _halve(sfs[f], lo, hi, _sign(poly_eval_coeffs(sfs[f], hi)))
 
 
 def _gap_samples(intervals) -> list[Fraction]:

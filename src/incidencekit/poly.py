@@ -15,6 +15,7 @@ from __future__ import annotations
 import ast
 import json
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 
@@ -446,14 +447,10 @@ class MultiPoly:
             return self * (GaussianRational(1) / lead)
         fracs = {e: Fraction(c.re) if isinstance(c, GaussianRational) else c
                  for e, c in self.terms.items()}
-        from math import gcd
-
-        num_gcd = 0
-        den_lcm = 1
-        for c in fracs.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
+        scale = Fraction(
+            lcm(*(c.denominator for c in fracs.values())),
+            gcd(*(c.numerator for c in fracs.values())),
+        )
         lead = self.leading_coef()
         lead = lead.re if isinstance(lead, GaussianRational) else lead
         if lead < 0:

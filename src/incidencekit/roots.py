@@ -1,13 +1,15 @@
 """Real-root isolation for univariate rational polynomials via Sturm sequences.
 
-Intervals are refined until their width drops below 2**-30 or the root is
-hit exactly, per the kernel's reproducibility contract.
+Sturm counts split the query interval until each piece holds one root; the
+sign of the polynomial then narrows that piece by bisection until its width
+drops below 2**-30 or the root is hit exactly, per the kernel's
+reproducibility contract.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .poly import MultiPoly, check_invariant
@@ -22,13 +24,9 @@ def _strip(coeffs: list[Fraction]) -> list[Fraction]:
 
 
 def _to_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
     return [c // g for c in ints] if g else ints
 
 
@@ -95,26 +93,20 @@ def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
     return [c for c in chain if c]
 
 
-def _sign_variations(chain, x: Fraction | None, at_infinity: int = 0) -> int:
-    """Sign variations at x; at_infinity=+1/-1 evaluates limits at +/-inf."""
-    signs = []
-    for coeffs in chain:
-        if at_infinity:
-            lead = coeffs[-1]
-            s = (1 if lead > 0 else -1) if lead else 0
-            if at_infinity < 0 and (len(coeffs) - 1) % 2 == 1:
-                s = -s
-        else:
-            v = poly_eval_coeffs(coeffs, x)
-            s = 0 if v == 0 else (1 if v > 0 else -1)
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign(x: Fraction) -> int:
+    return 0 if x == 0 else (1 if x > 0 else -1)
+
+
+def _sign_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (_sign(poly_eval_coeffs(c, x)) for c in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]; endpoints must not be
-    roots of the first chain element for exactness at lo."""
+    """Number of distinct real roots in (lo, hi] of the squarefree polynomial
+    whose Sturm chain this is.  Exact even when lo or hi is a root: at a
+    simple root a the first element drops out of the count, so the sign
+    variations at a equal those just right of a."""
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
@@ -127,12 +119,26 @@ def cauchy_root_bound(coeffs: Sequence[Fraction]) -> Fraction:
     return Fraction(1) + m / lead
 
 
+def _halve(coeffs, lo: Fraction, hi: Fraction, sign_hi: int):
+    """One bisection step on (lo, hi), which holds exactly one root of the
+    squarefree coeffs and at whose end hi they have sign sign_hi != 0: the
+    half that holds the root, or (mid, mid) when the midpoint is the root."""
+    mid = (lo + hi) / 2
+    s = _sign(poly_eval_coeffs(coeffs, mid))
+    if s == 0:
+        return mid, mid
+    return (lo, mid) if s == sign_hi else (mid, hi)
+
+
 def isolate_real_roots(
     p, interval: tuple | None = None
 ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals each containing exactly one real root of p
-    inside the query interval.  Exact roots appear as degenerate (r, r)
-    intervals.  Accepts a MultiPoly (univariate) or a coefficient list.
+    """The distinct real roots of p in the closed query interval (by default
+    one that holds them all), one interval per root, sorted and disjoint.  An
+    exact root r is (r, r); any other interval (a, b) is open and narrower
+    than REFINE_WIDTH, its ends are not roots, and the squarefree part of p
+    has opposite signs there, so it holds exactly one root.  Accepts a
+    MultiPoly (univariate) or a coefficient list.
     """
     if isinstance(p, MultiPoly):
         coeffs = p.univariate_coeffs()
@@ -153,74 +159,25 @@ def isolate_real_roots(
         raise ValueError("empty query interval")
 
     chain = sturm_chain(sf)
-    found: list[tuple[Fraction, Fraction]] = []
-
-    def eval_sf(x):
-        return poly_eval_coeffs(sf, x)
-
-    # exact roots at the query endpoints are reported directly
-    if eval_sf(lo) == 0:
-        found.append((lo, lo))
-    if hi != lo and eval_sf(hi) == 0:
-        found.append((hi, hi))
-
-    def clear_left(x, step):
-        # nudge right until sf(x) != 0 (sf squarefree: single nudge suffices
-        # for small enough step)
-        while eval_sf(x) == 0:
-            step /= 2
-            x = x + step
-        return x
-
-    def clear_right(x, step):
-        while eval_sf(x) == 0:
-            step /= 2
-            x = x - step
-        return x
-
-    width0 = (hi - lo) or Fraction(1)
-    a = clear_left(lo, width0 / 2**20) if eval_sf(lo) == 0 else lo
-    b = clear_right(hi, width0 / 2**20) if eval_sf(hi) == 0 else hi
-    if a >= b:
-        found.sort()
-        return found
-
-    def refine(a, b):
-        # exactly one root in (a, b]; shrink to REFINE_WIDTH or exact hit
-        while b - a >= REFINE_WIDTH:
-            mid = (a + b) / 2
-            if eval_sf(mid) == 0:
-                return (mid, mid)
-            if count_roots(chain, a, mid) == 1:
-                b = mid
-            else:
-                a = mid
-        return (a, b)
-
-    stack = [(a, b)]
+    # count_roots covers (lo, hi]; a root at lo is reported on its own
+    found = [(lo, lo)] if poly_eval_coeffs(sf, lo) == 0 else []
+    stack = [(lo, hi, count_roots(chain, lo, hi))]
     while stack:
-        x, y = stack.pop()
-        n = count_roots(chain, x, y)
-        if n == 0:
-            continue
-        if n == 1:
-            found.append(refine(x, y))
-            continue
-        mid = (x + y) / 2
-        if eval_sf(mid) == 0:
-            found.append((mid, mid))
-            # exclude a tiny punctured neighborhood that contains only mid
-            w = (y - x) / 2**20
-            left = clear_right(mid - w, w)
-            right = clear_left(mid + w, w)
-            while count_roots(chain, left, right) != 1:
-                w /= 2
-                left = clear_right(mid - w, w)
-                right = clear_left(mid + w, w)
-            stack.append((x, left))
-            stack.append((right, y))
-        else:
-            stack.append((x, mid))
-            stack.append((mid, y))
+        x, y, n = stack.pop()
+        if n > 1:
+            mid = (x + y) / 2
+            left = count_roots(chain, x, mid)
+            stack.append((x, mid, left))
+            stack.append((mid, y, n - left))
+        elif n == 1:
+            # one root in (x, y]; x may be a root outside the count, so
+            # narrow until x is not one (or the root is hit exactly)
+            sign_y = _sign(poly_eval_coeffs(sf, y))
+            if sign_y == 0:
+                found.append((y, y))
+                continue
+            while x < y and (y - x >= REFINE_WIDTH or poly_eval_coeffs(sf, x) == 0):
+                x, y = _halve(sf, x, y, sign_y)
+            found.append((x, y))
     found.sort()
     return found

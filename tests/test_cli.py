@@ -282,6 +282,15 @@ class TestDeterminism:
         assert not (ws / "runs" / "m.csv").exists()
         assert not any((ws / "other").iterdir())
 
+    def test_rerun_replays_values_that_begin_with_a_dash(self, ws):
+        assert run(["generate", "--family", "leaf", "--g=-z1^2", "--count", 3,
+                    "--out=-leaf.json"]) == 0
+        first = Path("-leaf.json").read_bytes()
+        assert json.loads(Path("-leaf.json.manifest.json").read_text())["params"]["g"] == "-z1^2"
+        Path("-leaf.json").unlink()
+        assert run(["rerun", "--manifest=-leaf.json.manifest.json"]) == 0
+        assert Path("-leaf.json").read_bytes() == first
+
     def test_threads_do_not_change_output(self, ws):
         run(["generate", "--family", "grid-lines", "--n", 4, "--out", "g.json"])
         run(["count", "g.json", "--threads", 1, "--out", "c1.json"])

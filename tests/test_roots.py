@@ -8,10 +8,12 @@ import pytest
 from incidencekit.poly import MultiPoly
 from incidencekit.roots import (
     REFINE_WIDTH,
+    count_roots,
     isolate_real_roots,
     poly_eval_coeffs,
     poly_gcd,
     squarefree_part,
+    sturm_chain,
 )
 
 
@@ -24,37 +26,93 @@ def from_roots(roots):
     return p
 
 
+def isolated(p, interval=None):
+    """isolate_real_roots(p, interval), checked against its output contract:
+    sorted, disjoint intervals inside the query interval; an exact root (r, r)
+    vanishes; any other interval is narrower than REFINE_WIDTH and its ends
+    are not roots and the squarefree part has opposite signs there."""
+    sf = squarefree_part(p.univariate_coeffs() if isinstance(p, MultiPoly) else p)
+    intervals = isolate_real_roots(p, interval)
+    for lo, hi in intervals:
+        if lo == hi:
+            assert poly_eval_coeffs(sf, lo) == 0
+        else:
+            assert 0 < hi - lo < REFINE_WIDTH
+            v_lo, v_hi = poly_eval_coeffs(sf, lo), poly_eval_coeffs(sf, hi)
+            assert v_lo != 0 and v_hi != 0 and (v_lo > 0) != (v_hi > 0)
+    for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
+        assert hi1 <= lo2
+    assert intervals == sorted(intervals)
+    assert len(set(intervals)) == len(intervals)
+    if interval is not None and intervals:
+        assert interval[0] <= intervals[0][0] and intervals[-1][1] <= interval[1]
+    return intervals
+
+
+X = MultiPoly.variable(0, 1)
+TINY = Fraction(1, 2**40)
+
+
 class TestIsolation:
     def test_sqrt_two(self):
-        x = MultiPoly.variable(0, 1)
-        p = x * x - MultiPoly.constant(2, 1)
-        intervals = isolate_real_roots(p, (Fraction(0), Fraction(2)))
+        p = X * X - MultiPoly.constant(2, 1)
+        intervals = isolated(p, (Fraction(0), Fraction(2)))
         assert len(intervals) == 1
         lo, hi = intervals[0]
         assert lo * lo < 2 < hi * hi
-        assert hi - lo < REFINE_WIDTH
 
     def test_three_roots(self):
         p = from_roots([Fraction(1), Fraction(2), Fraction(3)])
-        intervals = isolate_real_roots(p, (Fraction(0), Fraction(4)))
-        assert len(intervals) == 3
-        # disjoint and ordered
-        for (a1, b1), (a2, b2) in zip(intervals, intervals[1:]):
-            assert b1 <= a2
+        for interval, expected in [
+            ((0, 4), 3),
+            # roots at both ends of the query interval, and 2 at its midpoint
+            ((1, 3), [(1, 1), (2, 2), (3, 3)]),
+            ((2, 2), [(2, 2)]),
+            ((Fraction(3, 2), 3), 2),
+            ((1, Fraction(5, 2)), 2),
+            ((Fraction(1, 3), Fraction(2, 3)), []),
+        ]:
+            intervals = isolated(p, interval)
+            if isinstance(expected, int):
+                assert len(intervals) == expected
+            else:
+                assert intervals == expected
 
     def test_exact_rational_roots(self):
-        p = from_roots([Fraction(1, 3), Fraction(5, 7)])
-        intervals = isolate_real_roots(p)
-        assert len(intervals) == 2
-        for lo, hi in intervals:
-            assert lo <= hi
-            if lo == hi:
-                assert poly_eval_coeffs(p.univariate_coeffs(), lo) == 0
+        cubic = X * (X * X - MultiPoly.constant(2, 1))
+        near = Fraction(1, 3) + TINY
+        # exact: the roots that must come back as (r, r), here the query's ends
+        for p, interval, exact, count in [
+            (from_roots([Fraction(1, 3), Fraction(5, 7)]), None, [], 2),
+            # x(x^2 - 2): its root 0 is the first bisection midpoint of the
+            # symmetric Cauchy interval (-3, 3)
+            (cubic, None, [0], 3),
+            (cubic, (0, 2), [0], 2),
+            (cubic, (-2, 0), [0], 2),
+            # roots 2^-40 apart, far below REFINE_WIDTH, one at a query end
+            (from_roots([0, TINY]), None, [], 2),
+            (from_roots([0, TINY]), (0, 1), [0, TINY], 2),
+            (from_roots([-TINY, 0]), (-1, 0), [-TINY, 0], 2),
+            (from_roots([0, TINY]), (TINY, 1), [TINY], 1),
+            (from_roots([0, TINY]), (-1, 0), [0], 1),
+            (from_roots([Fraction(1, 3), near]), (Fraction(1, 3), 1), [Fraction(1, 3)], 2),
+        ]:
+            intervals = isolated(p, interval)
+            assert len(intervals) == count
+            assert {(r, r) for r in exact} <= set(intervals)
 
     def test_repeated_roots_counted_once(self):
-        x = MultiPoly.variable(0, 1)
-        p = (x - MultiPoly.constant(2, 1)) ** 3
-        assert len(isolate_real_roots(p)) == 1
+        for roots, count in [
+            ([2, 2, 2], 1),
+            # repeated roots next to simple ones, some 2^-40 apart
+            ([1, 1, 1, 1 + TINY, 3, -2, -2], 4),
+            ([0, 0, TINY, -TINY, -TINY, Fraction(1, 3)], 4),
+        ]:
+            p = from_roots([Fraction(r) for r in roots])
+            assert len(isolated(p)) == count
+            assert len(isolated(p, (min(roots), max(roots)))) == count
+            irrational = p * (X * X - MultiPoly.constant(3, 1)) ** 2
+            assert len(isolated(irrational)) == count + 2
 
     def test_no_real_roots(self):
         x = MultiPoly.variable(0, 1)
@@ -74,7 +132,7 @@ class TestIsolation:
             p = MultiPoly(1, {(k,): c for k, c in enumerate(coeffs) if c != 0})
             if p.is_zero or p.total_degree == 0:
                 continue
-            found = len(isolate_real_roots(p))
+            found = len(isolated(p))
             assert found == _dense_sign_change_count(p.univariate_coeffs())
 
     def test_hundred_random_polys_match_oracle(self):
@@ -85,8 +143,51 @@ class TestIsolation:
                 for _ in range(rng.randrange(0, 5))
             )
             p = from_roots(roots)
-            found = isolate_real_roots(p)
+            found = isolated(p)
             assert len(found) == len(set(roots))
+            if len(roots) >= 2:
+                # the query interval ends at two of the roots
+                lo, hi = rng.sample(roots, 2)
+                lo, hi = min(lo, hi), max(lo, hi)
+                found = isolated(p, (lo, hi))
+                assert len(found) == len({r for r in roots if lo <= r <= hi})
+
+
+def _below_sqrt_two(v):
+    return v < 0 or v * v < 2
+
+
+class TestCount:
+    def test_half_open_count_with_roots_at_the_ends(self):
+        """count_roots counts the roots in (x, y] also when x or y is a
+        root: V(a) equals the sign variations just right of a simple root a."""
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(60):
+            roots = [Fraction(rng.randrange(-8, 9), rng.randrange(1, 4))
+                     for _ in range(rng.randrange(1, 6))]
+            roots += rng.sample(roots, rng.randrange(0, len(roots) + 1))
+            p = from_roots(roots)
+            irrational = rng.random() < 0.5
+            if irrational:  # times x^2 - 2, whose roots +-sqrt(2) no rational hits
+                p = p * (X * X - MultiPoly.constant(2, 1))
+            chain = sturm_chain(squarefree_part(p.univariate_coeffs()))
+            distinct = sorted(set(roots))
+            ends = distinct + [r + TINY for r in distinct] + [
+                Fraction(rng.randrange(-30, 31), 3) for _ in range(4)
+            ]
+            for x in distinct:
+                for y in ends:
+                    for a, b in ((x, y), (y, x)):
+                        if a > b:
+                            continue
+                        expected = sum(a < r <= b for r in distinct)
+                        if irrational:
+                            expected += _below_sqrt_two(-b) and not _below_sqrt_two(-a)
+                            expected += _below_sqrt_two(a) and not _below_sqrt_two(b)
+                        assert count_roots(chain, a, b) == expected, (roots, a, b)
+                        checked += 1
+        assert checked > 1000
 
 
 def _dense_sign_change_count(coeffs, step=Fraction(1, 64)):
