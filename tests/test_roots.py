@@ -42,7 +42,6 @@ def isolated(p, interval=None):
             assert v_lo != 0 and v_hi != 0 and (v_lo > 0) != (v_hi > 0)
     for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
         assert hi1 <= lo2
-    assert intervals == sorted(intervals)
     assert len(set(intervals)) == len(intervals)
     if interval is not None and intervals:
         assert interval[0] <= intervals[0][0] and intervals[-1][1] <= interval[1]
