@@ -163,6 +163,13 @@ def _require(value, flag):
     return value
 
 
+def _matrix_stats(matrix) -> dict:
+    """What building the matrix did: the pairs the modular filter saw, the
+    candidates it let through to the exact test, and those confirmed."""
+    return {"pairs": matrix.m * matrix.n, "candidates": matrix.candidates,
+            "confirmed": matrix.count}
+
+
 def cmd_count(args) -> int:
     started = time.monotonic()
     config = _load_config(args.config)
@@ -181,6 +188,7 @@ def cmd_count(args) -> int:
          "threads": args.threads, "matrix_csv": args.matrix_csv},
         ("config",), started,
         extra_outputs=(args.matrix_csv,) if args.matrix_csv else (),
+        stats=_matrix_stats(matrix),
     )
     print(f"I = {matrix.count}")
     return EXIT_OK
@@ -201,7 +209,7 @@ def cmd_certify(args) -> int:
         out, "certify",
         {"config": args.config, "k": args.k, "s": args.s, "seed": args.seed,
          "threads": args.threads},
-        ("config",), started,
+        ("config",), started, stats=_matrix_stats(matrix),
     )
     if cert.status == "certified":
         print("certified")

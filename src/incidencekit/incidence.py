@@ -11,16 +11,17 @@ from __future__ import annotations
 import decimal
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 import numpy as np
 
 from .cr import iota, realify
-from .poly import GaussianRational, MultiPoly, coef_from_obj, coef_to_obj
+from .poly import GaussianRational, MultiPoly, _integer_parts, coef_from_obj, coef_to_obj
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -105,6 +106,9 @@ class IncidenceMatrix:
     m: int
     n: int
     incidences: frozenset  # of (point_index, curve_index)
+    # the filter candidates build_matrix confirmed exactly; not part of the
+    # matrix, so equal matrices stay equal however they were built
+    candidates: int | None = field(default=None, compare=False)
 
     @property
     def count(self) -> int:
@@ -147,46 +151,36 @@ def residue(value) -> int | None:
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def _integer_residues(curve: MultiPoly) -> list[tuple[tuple, int]]:
-    """Coefficient residues of the curve scaled by the lcm of its
-    coefficient denominators, which has the same zero set and reduces
-    modulo every prime."""
-    parts = [
-        q
-        for c in curve.terms.values()
-        for q in ((c.re, c.im) if isinstance(c, GaussianRational) else (c,))
-    ]
-    scale = lcm(*(q.denominator for q in parts))
-    return [(exp, residue(c * scale)) for exp, c in curve.terms.items()]
-
-
 def filter_candidates(config: Configuration) -> list[tuple[int, int]]:
     """Sorted (point, curve) pairs that the modular filter cannot rule out.
 
-    Each curve is evaluated at every point at once in numpy int64 modulo
-    FILTER_PRIME.  A nonzero residue proves the pair is not an incidence, so
-    the result is a superset of the incidences: the pairs whose value
-    vanishes mod p, plus every pair at a point with a denominator divisible
-    by p."""
+    Each curve's integer form (the one MultiPoly.evaluate sums) is evaluated
+    at every point's integer row (D*p_1, D*p_2, D) at once, in numpy int64
+    modulo FILTER_PRIME.  A nonzero residue proves the pair is not an
+    incidence, so the result is a superset of the incidences: the pairs
+    whose value vanishes mod p, plus every pair at a point with a
+    denominator divisible by p."""
     p = FILTER_PRIME
-    point_res = [[residue(c) for c in pt] for pt in config.points]
-    reduced = [i for i, r in enumerate(point_res) if None not in r]
-    unreduced = [i for i, r in enumerate(point_res) if None in r]
+    rows = [_integer_parts(pt) for pt in config.points]
+    reduced = [i for i, (den, _) in enumerate(rows) if den % p]
+    unreduced = [i for i, (den, _) in enumerate(rows) if not den % p]
     coords = np.array(
-        [point_res[i] for i in reduced], dtype=np.int64
-    ).reshape(len(reduced), 2)
+        [[(a + b * FILTER_SQRT_M1) % p for a, b in rows[i][1]] + [rows[i][0] % p]
+         for i in reduced],
+        dtype=np.int64,
+    ).reshape(len(reduced), 3)
     monomials: dict[tuple, np.ndarray] = {}
     out = []
     for j, curve in enumerate(config.curves):
         acc = np.zeros(len(reduced), dtype=np.int64)
-        for exp, c in _integer_residues(curve):
+        for exp, re, im in curve._integer_terms()[1]:
             if exp not in monomials:
                 value = np.ones(len(reduced), dtype=np.int64)
                 for var, e in enumerate(exp):
                     for _ in range(e):
                         value = value * coords[:, var] % p
                 monomials[exp] = value
-            acc = (acc + c * monomials[exp]) % p
+            acc = (acc + (re + im * FILTER_SQRT_M1) % p * monomials[exp]) % p
         out.extend((reduced[k], j) for k in np.flatnonzero(acc == 0))
         out.extend((i, j) for i in unreduced)
     out.sort()
@@ -201,12 +195,13 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
     """Exact vanishing test on every pair the modular filter lets through
     (see filter_candidates); optionally cross-checks every confirmed complex
     incidence through the R^4 embedding."""
+    candidates = filter_candidates(config)
     pairs = set()
     check = cross_check_embedding and config.ground_field == "C2"
     embedded: dict = {}
     cache: dict = {}
     last_point = None
-    for i, j in filter_candidates(config):
+    for i, j in candidates:
         p = config.points[i]
         if i != last_point:
             cache, last_point = {}, i
@@ -221,7 +216,7 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
                     f"point {i} lies on curve {j} but not on its realification"
                 )
         pairs.add((i, j))
-    return IncidenceMatrix(config.m, config.n, frozenset(pairs))
+    return IncidenceMatrix(config.m, config.n, frozenset(pairs), len(candidates))
 
 
 @dataclass(frozen=True)
@@ -248,9 +243,12 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
     Condition 1: every k-subset of points lies on at most s curves (only
     subsets incident to some curve can violate, so the table enumerates
     per-curve k-subsets).  Condition 2: every curve pair shares at most s
-    incident points.  The first violation in deterministic (curve index,
-    subset lex) order is returned as a witness.  Past SUBSET_TABLE_CAP
-    table entries the answer is "indeterminate"."""
+    incident points; each curve counts the points it shares with every later
+    curve through a point -> curves index, which costs the sum of squared
+    point degrees rather than one intersection per pair.  The first violation
+    in deterministic (curve index, subset lex) order is returned as a
+    witness.  Past SUBSET_TABLE_CAP table entries the answer is
+    "indeterminate"."""
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     rows = M.curve_rows()
@@ -275,18 +273,22 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
                     witness=("point-subset", subset, tuple(curves_here)),
                     detail=f"{len(curves_here)} curves through one {k}-subset",
                 )
-    for j1 in range(M.n):
-        r1 = set(rows[j1])
-        if len(r1) <= s:
+    point_curves: dict[int, list[int]] = {}
+    for j, row in enumerate(rows):
+        for i in row:
+            point_curves.setdefault(i, []).append(j)
+    for j1, row in enumerate(rows):
+        if len(row) <= s:
             continue
-        for j2 in range(j1 + 1, M.n):
-            shared = r1.intersection(rows[j2])
-            if len(shared) > s:
-                return DofCertificate(
-                    k, s, "violated",
-                    witness=("curve-pair", (j1, j2), tuple(sorted(shared))),
-                    detail=f"curves share {len(shared)} incident points",
-                )
+        shared_counts = Counter(j2 for i in row for j2 in point_curves[i] if j2 > j1)
+        j2 = min((j2 for j2, c in shared_counts.items() if c > s), default=None)
+        if j2 is not None:
+            shared = sorted(set(row) & set(rows[j2]))
+            return DofCertificate(
+                k, s, "violated",
+                witness=("curve-pair", (j1, j2), tuple(shared)),
+                detail=f"curves share {len(shared)} incident points",
+            )
     return DofCertificate(k, s, "certified")
 
 

@@ -161,6 +161,17 @@ def _coerce_scalar(value) -> Coef:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
+def _integer_parts(values: Iterable[Coef]) -> tuple[int, list[tuple[int, int]]]:
+    """The common denominator D of the real and imaginary parts of `values`
+    (Fractions or GaussianRationals), and the Gaussian integers D*v as
+    (re, im) pairs."""
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, _ZERO)
+             for v in values]
+    den = lcm(*(q.denominator for pair in parts for q in pair))
+    return den, [(re.numerator * (den // re.denominator),
+                  im.numerator * (den // im.denominator)) for re, im in parts]
+
+
 def _term_key(exp):
     # graded lexicographic, highest first when sorted with reverse=True
     return (sum(exp), exp)
@@ -169,7 +180,7 @@ def _term_key(exp):
 class MultiPoly:
     """Sparse multivariate polynomial; terms map exponent tuples to coefficients."""
 
-    __slots__ = ("num_vars", "terms", "_degree")
+    __slots__ = ("num_vars", "terms", "_degree", "_integer")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | None = None):
         clean = {}
@@ -187,6 +198,7 @@ class MultiPoly:
         object.__setattr__(
             self, "_degree", max((sum(e) for e in clean), default=-1)
         )
+        object.__setattr__(self, "_integer", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -310,31 +322,62 @@ class MultiPoly:
 
     # -- evaluation and calculus ----------------------------------------
 
+    def _integer_terms(self) -> tuple:
+        """(L, terms, gaussian, used): the coefficients over the lcm L of their
+        denominators as Gaussian integers, one (exponent, re, im) per term with
+        the exponent homogenised to the total degree d, (e_1, ..., e_n,
+        d - |e|); whether a coefficient is a GaussianRational; and the
+        variables that occur.  Built once per polynomial."""
+        if self._integer is None:
+            scale, coeffs = _integer_parts(self.terms.values())
+            d = self._degree
+            terms = tuple((exp + (d - sum(exp),), re, im)
+                          for exp, (re, im) in zip(self.terms, coeffs))
+            gaussian = any(isinstance(c, GaussianRational) for c in self.terms.values())
+            used = tuple(k for k in range(self.num_vars) if self.degree_in(k) > 0)
+            object.__setattr__(self, "_integer", (scale, terms, gaussian, used))
+        return self._integer
+
     def evaluate(self, point: Sequence[Scalar], _cache: dict | None = None) -> Coef:
         """Exact value at a point of rationals / Gaussian rationals.
 
-        `_cache`, when given, memoizes monomial values for repeated
-        evaluation of many polynomials at the same point.
+        The sum runs in Gaussian integers: with the point's coordinates over
+        their common denominator D as the row (D*x_1, ..., D*x_n, D), the
+        homogenised _integer_terms summed at the row is L * D^d times the
+        value.  The value is a GaussianRational when a coefficient is one or
+        a variable that occurs has a GaussianRational coordinate.
+
+        `_cache`, when given, memoizes the row and monomial values for
+        repeated evaluation of many polynomials at the same point.
         """
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has "
                 f"{self.num_vars} variables"
             )
-        point = [_coerce_scalar(x) for x in point]
-        total: Coef = Fraction(0)
-        for exp, coef in self.terms.items():
-            if _cache is not None and exp in _cache:
-                mono = _cache[exp]
-            else:
-                mono: Coef = Fraction(1)
-                for x, e in zip(point, exp):
-                    if e:
-                        mono = mono * x**e
-                if _cache is not None:
-                    _cache[exp] = mono
-            total = total + coef * mono
-        return total
+        cache = {} if _cache is None else _cache
+        if None not in cache:
+            point = [_coerce_scalar(x) for x in point]
+            den, coords = _integer_parts(point)
+            cache[None] = (coords + [(den, 0)],
+                           {k for k, x in enumerate(point) if isinstance(x, GaussianRational)})
+        row, gaussian_vars = cache[None]
+        scale, terms, gaussian, used = self._integer_terms()
+        re = im = 0
+        for exp, c_re, c_im in terms:
+            mono = cache.get(exp)
+            if mono is None:
+                m_re, m_im = 1, 0
+                for (a, b), e in zip(row, exp):
+                    for _ in range(e):
+                        m_re, m_im = m_re * a - m_im * b, m_re * b + m_im * a
+                mono = cache[exp] = (m_re, m_im)
+            re += c_re * mono[0] - c_im * mono[1]
+            im += c_re * mono[1] + c_im * mono[0]
+        q = scale * row[-1][0] ** max(self._degree, 0)
+        if gaussian or not gaussian_vars.isdisjoint(used):
+            return GaussianRational._of(Fraction(re, q), Fraction(im, q))
+        return Fraction(re, q)
 
     def partial(self, var: int) -> "MultiPoly":
         """Exact formal partial derivative in variable `var`."""

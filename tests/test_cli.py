@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from incidencekit.cli import main
+from incidencekit.incidence import FILTER_PRIME, Configuration
+from incidencekit.poly import MultiPoly
 
 
 def run(argv):
@@ -150,6 +152,22 @@ class TestPartitionFoliateBoundFit:
             assert cut["seconds"] >= 0
         # the first cut bisects every point
         assert sum(cuts[0]["counts"][0]) == 64
+
+    def test_count_and_certify_manifests_record_the_filter_work(self, ws):
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        # x + y - p vanishes mod p at the origin, but not exactly
+        config = Configuration.build(
+            "R2", [(0, 0), (1, 0)],
+            [x + y - MultiPoly.constant(FILTER_PRIME, 2), y],
+        )
+        Path("c.json").write_text(config.to_json())
+        assert run(["count", "c.json", "--out", "n.json"]) == 0
+        assert run(["certify", "c.json", "--k", 2, "--s", 1,
+                    "--out", "cert.json"]) == 0
+        for out in ("n.json", "cert.json"):
+            assert "stats" not in json.loads(Path(out).read_text())
+            manifest = json.loads(Path(out + ".manifest.json").read_text())
+            assert manifest["stats"] == {"pairs": 4, "candidates": 3, "confirmed": 2}
 
     def test_foliate_all_pass(self, ws):
         run(["generate", "--family", "leaf", "--g", "z1", "--count", 3,

@@ -1,6 +1,8 @@
 """Incidence matrices, certification, double counting, bounds, fits."""
 
+import collections
 import decimal
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from incidencekit.incidence import (
     FILTER_PRIME,
     FILTER_SQRT_M1,
+    SUBSET_TABLE_CAP,
     Configuration,
+    DofCertificate,
     IncidenceMatrix,
     build_matrix,
     certify_dof,
@@ -89,6 +93,7 @@ class TestBuildMatrix:
 
 
 P = FILTER_PRIME
+W = GaussianRational(Fraction(1, 2), Fraction(1, 3))
 # denominators divisible by p put a point outside the filter's reach
 _rationals = st.builds(
     Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 7, P, 5 * P])
@@ -100,12 +105,15 @@ _exponents = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]
 @st.composite
 def filter_configurations(draw, field):
     scalar = _rationals if field == "R2" else _gaussians
+    # R2 curves may carry Gaussian coefficients whose imaginary parts are 0
+    coef = _gaussians if field == "C2" else st.one_of(
+        _rationals, _rationals.map(GaussianRational))
     points = draw(st.lists(st.tuples(scalar, scalar), min_size=1, max_size=6))
     curves = []
     for _ in range(draw(st.integers(1, 4))):
         exps = draw(st.lists(st.sampled_from(_exponents), min_size=1,
                              max_size=4, unique=True))
-        f = MultiPoly(2, {e: draw(scalar) for e in exps})
+        f = MultiPoly(2, {e: draw(coef) for e in exps})
         # shift the value at one point to 0 (an incidence) or to a nonzero
         # multiple of p (a residue of 0 that is not an incidence)
         at = list(draw(st.sampled_from(points)))
@@ -116,13 +124,25 @@ def filter_configurations(draw, field):
     return Configuration.build(field, points, curves)
 
 
-def exact_incidences(config):
-    return {
-        (i, j)
-        for i, p in enumerate(config.points)
-        for j, f in enumerate(config.curves)
-        if not f.evaluate(list(p))
-    }
+def exact_incidences(config, modular=False):
+    """The pairs (i, j) with f_j(p_i) = 0, by MultiPoly.evaluate.  With
+    `modular`, the pairs the modular filter returns instead: those where
+    f_j(p_i) times the lcm of f_j's coefficient denominators has residue 0,
+    and every pair at a point outside Z_(p)[i]."""
+    pairs = set()
+    for i, p in enumerate(config.points):
+        unreduced = any(residue(c) is None for c in p)
+        for j, f in enumerate(config.curves):
+            value = f.evaluate(list(p))
+            if modular:
+                parts = [GaussianRational.coerce(c) for c in f.terms.values()]
+                scale = math.lcm(*(q.denominator for z in parts for q in (z.re, z.im)))
+                hit = unreduced or residue(value * scale) == 0
+            else:
+                hit = not value
+            if hit:
+                pairs.add((i, j))
+    return pairs
 
 
 class TestModularFilter:
@@ -179,6 +199,43 @@ class TestModularFilter:
         if config.ground_field == "C2":
             assert build_matrix(config, cross_check_embedding=True).incidences == exact
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["R2", "C2"]).flatmap(filter_configurations))
+    def test_filter_on_the_integer_form_keeps_its_candidates(self, config):
+        assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
+        assert build_matrix(config).incidences == exact_incidences(config)
+
+    @pytest.mark.parametrize("field, points, curves, incidences, candidates", [
+        # a mixed-degree curve at coordinates with different denominators
+        # tests the D^(d - |e|) factor
+        ("R2", [(Fraction(1, 3), Fraction(1, 9)), (Fraction(1, 3), Fraction(1, 7))],
+         [X * X - Y], {(0, 0)}, [(0, 0)]),
+        # an R2 curve with Gaussian coefficients whose imaginary parts are 0:
+        # 3x^2 - 3y - x/2 + 1/6
+        ("R2", [(Fraction(1, 3), Fraction(1, 9)), (Fraction(2), Fraction(5, 2))],
+         [MultiPoly(2, {(2, 0): GaussianRational(3), (0, 1): GaussianRational(-3),
+                        (1, 0): GaussianRational(Fraction(-1, 2)),
+                        (0, 0): GaussianRational(Fraction(1, 6))})],
+         {(0, 0)}, [(0, 0)]),
+        # C2 points with denominators in both parts: (w, w^2) and (w, w^2 + i/5)
+        # for w = 1/2 + i/3, on z2 - z1^2 and z1^3 z2 - w^5
+        ("C2", [(W, W**2), (W, W**2 + GaussianRational(0, Fraction(1, 5)))],
+         [Z2 - Z1 * Z1, Z1 * Z1 * Z1 * Z2 - W**5],
+         {(0, 0), (0, 1)}, [(0, 0), (0, 1)]),
+        # an unreduced point stays a candidate for every curve:
+        # p^2 x^2 + y - 3 and x^2 - y at (1/p, 2)
+        ("R2", [(Fraction(1, P), Fraction(2))],
+         [X * X * (P * P) + Y - MultiPoly.constant(3, 2), X * X - Y],
+         {(0, 0)}, [(0, 0), (0, 1)]),
+    ])
+    def test_integer_confirmation_cases(self, field, points, curves, incidences, candidates):
+        config = Configuration.build(field, points, curves)
+        assert exact_incidences(config) == incidences
+        assert build_matrix(config).incidences == incidences
+        assert filter_candidates(config) == candidates
+        assert candidates == sorted(exact_incidences(config, modular=True))
+
     def test_generated_families_match_exact_evaluation(self):
         from incidencekit.configurations import (
             gen_complex_lines_product,
@@ -196,7 +253,74 @@ class TestModularFilter:
             assert build_matrix(config).incidences == exact_incidences(config)
 
 
+def certify_dof_pairwise(M, k, s):
+    """certify_dof with condition 2 as one set intersection per curve pair in
+    lexicographic order: the reference the point -> curves index is held to."""
+    rows = M.curve_rows()
+    table, entries = {}, 0
+    for j, row in enumerate(rows):
+        if len(row) < k:
+            continue
+        entries += math.comb(len(row), k)
+        if entries > SUBSET_TABLE_CAP:
+            return DofCertificate(
+                k, s, "indeterminate",
+                detail=f"k-subset table exceeded cap {SUBSET_TABLE_CAP}",
+            )
+        for subset in itertools.combinations(row, k):
+            curves_here = table.setdefault(subset, [])
+            curves_here.append(j)
+            if len(curves_here) > s:
+                return DofCertificate(
+                    k, s, "violated",
+                    witness=("point-subset", subset, tuple(curves_here)),
+                    detail=f"{len(curves_here)} curves through one {k}-subset",
+                )
+    for j1 in range(M.n):
+        r1 = set(rows[j1])
+        if len(r1) <= s:
+            continue
+        for j2 in range(j1 + 1, M.n):
+            shared = r1.intersection(rows[j2])
+            if len(shared) > s:
+                return DofCertificate(
+                    k, s, "violated",
+                    witness=("curve-pair", (j1, j2), tuple(sorted(shared))),
+                    detail=f"curves share {len(shared)} incident points",
+                )
+    return DofCertificate(k, s, "certified")
+
+
 class TestCertify:
+    def test_only_condition2_fires(self):
+        # two curves share exactly two points; k = 3 leaves condition 1 empty
+        M = IncidenceMatrix(4, 3, frozenset(
+            [(2, 0), (3, 0), (0, 1), (1, 1), (0, 2), (1, 2), (3, 2)]
+        ))
+        cert = certify_dof(M, 3, 1)
+        assert cert == DofCertificate(
+            3, 1, "violated", witness=("curve-pair", (1, 2), (0, 1)),
+            detail="curves share 2 incident points",
+        )
+        assert cert == certify_dof_pairwise(M, 3, 1)
+
+    def test_matches_the_pair_loop(self):
+        kinds = collections.Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            # rows of at most 5 points leave room for condition 2 to fire first
+            M = IncidenceMatrix(m, n, frozenset(
+                (i, j) for j in range(n)
+                for i in rng.sample(range(m), rng.randint(0, min(m, 5)))
+            ))
+            for k in (1, 2, 3):
+                for s in (1, 2):
+                    cert = certify_dof(M, k, s)
+                    assert cert == certify_dof_pairwise(M, k, s)
+                    kinds[cert.witness[0] if cert.witness else cert.status] += 1
+        assert min(kinds[kind] for kind in ("certified", "point-subset", "curve-pair")) > 100
+
     def test_lines_certified(self):
         from incidencekit.configurations import gen_grid_lines
 

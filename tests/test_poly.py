@@ -91,7 +91,42 @@ class TestGaussianRational:
         assert coef_from_obj("5/2") == Fraction(5, 2)
 
 
+def reference_evaluate(p, point):
+    """The value of p at the point in rational and Gaussian-rational
+    arithmetic, term by term: the reference for evaluate's integer sum."""
+    point = [x if isinstance(x, GaussianRational) else Fraction(x) for x in point]
+    total = Fraction(0)
+    for exp, coef in p.terms.items():
+        mono = Fraction(1)
+        for x, e in zip(point, exp):
+            if e:
+                mono = mono * x**e
+        total = total + coef * mono
+    return total
+
+
 class TestEval:
+    def test_integer_sum_matches_term_by_term_evaluation(self):
+        # values and types: GaussianRational exactly when a coefficient is
+        # one or an occurring variable has a GaussianRational coordinate
+        rng = random.Random(11)
+        for _ in range(400):
+            num_vars = rng.randint(1, 4)
+            point = rand_point(rng, num_vars, gaussian=rng.random() < 0.5)
+            point = [rng.choice([x, GaussianRational.coerce(x)])
+                     if isinstance(x, Fraction) and rng.random() < 0.3 else x
+                     for x in point]
+            if rng.random() < 0.2:
+                point[0] = rng.randrange(-3, 4)
+            cache = {}
+            for _ in range(3):
+                p = rand_poly(rng, num_vars, rng.randint(0, 6),
+                              density=rng.randint(0, 7), gaussian=rng.random() < 0.4)
+                expected = reference_evaluate(p, point)
+                for value in (p.evaluate(point), p.evaluate(point, cache)):
+                    assert type(value) is type(expected)
+                    assert value == expected
+
     def test_zero_case(self):
         # x1^2 + y1^2 at the origin
         x1, y1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
