@@ -1,6 +1,10 @@
 """The C^2 <-> R^4 dictionary: embedding, real/imaginary splitting of complex
 polynomials, Cauchy-Riemann verification, the complex-structure map J, and
 the two exceptional planes where the CR gradient vectors degenerate.
+
+Exceptional-plane membership has one test, `_exceptional_planes`; each
+plane is its own annihilator under the bilinear pairing, so the same test
+decides `pi_containment`.
 """
 
 from __future__ import annotations
@@ -103,6 +107,12 @@ def j_apply(w: Sequence) -> tuple:
     return (-w[1], w[0], -w[3], w[2])
 
 
+def _exceptional_planes(a: Sequence[GaussianRational]) -> tuple[bool, bool]:
+    """(a in PI1, a in PI2): whether a2 = -lambda*a1 and a4 = -lambda*a3 for
+    lambda = i and for lambda = -i; the zero vector lies in both."""
+    return tuple(a[1] == -lam * a[0] and a[3] == -lam * a[2] for lam in (I_UNIT, -I_UNIT))
+
+
 class CRClass(Enum):
     INDEPENDENT = "independent"
     DEPENDENT_PLUS_I = "dependent(+i)"
@@ -125,10 +135,11 @@ def classify_cr_vector(a: Sequence) -> CRClass:
     ja = j_apply(a)
     if rank([a, list(ja)]) == 2:
         return CRClass.INDEPENDENT
-    for lam, tag in ((I_UNIT, CRClass.DEPENDENT_PLUS_I),
-                     (-I_UNIT, CRClass.DEPENDENT_MINUS_I)):
-        if a[1] == -lam * a[0] and a[3] == -lam * a[2]:
-            return tag
+    in1, in2 = _exceptional_planes(a)
+    if in1:
+        return CRClass.DEPENDENT_PLUS_I
+    if in2:
+        return CRClass.DEPENDENT_MINUS_I
     raise InvariantError("dependent CR vector with no witnessing lambda")
 
 
@@ -157,21 +168,9 @@ def tangent_contains_pi(P: MultiPoly, p: Sequence) -> PiContainment:
 
 def pi_containment(grad: Sequence) -> PiContainment:
     """Which exceptional planes the nonzero gradient grad annihilates, that
-    is, which ones the tangent hyperplane it defines contains."""
-    gc = [GaussianRational.coerce(c) for c in grad]
-
-    def annihilates(basis):
-        return all(
-            sum((gi * bi for gi, bi in zip(gc, bv)), GaussianRational(0)).is_zero
-            for bv in basis
-        )
-
-    in1 = annihilates(PI1_BASIS)
-    in2 = annihilates(PI2_BASIS)
-    if in1 and in2:
-        return PiContainment.BOTH
-    if in1:
-        return PiContainment.PI1
-    if in2:
-        return PiContainment.PI2
-    return PiContainment.NONE
+    is, which ones the tangent hyperplane it defines contains.  A plane is
+    annihilated exactly by its own members, so this is plane membership."""
+    in1, in2 = _exceptional_planes([GaussianRational.coerce(c) for c in grad])
+    if in1 == in2:
+        return PiContainment.BOTH if in1 else PiContainment.NONE
+    return PiContainment.PI1 if in1 else PiContainment.PI2

@@ -4,20 +4,20 @@ At a smooth, non-exceptional point p of Z(P) the distribution E_p is the
 exact kernel of [grad P(p); J grad P(p)] -- a two-dimensional, J-invariant
 subspace of the tangent space.  Polynomial frame fields spanning E away
 from a degeneracy locus let us measure involutivity as an exact rational
-"bracket defect", and the tangency of embedded complex curves is checked
-as exact subspace equality.
+"bracket defect".  An embedded complex curve u + iv = 0 is tangent to E at
+p when [grad u; grad v] and [grad P(p); J grad P(p)] have the same row space
+(both have rank 2 there, so their kernels then agree).
 
-`bracket_defect` evaluates the defect at a point from the gradient and the
-Hessian of P there: the frame fields' values and first derivatives at p are
-closed forms in those, so no polynomial field is built per point.  The
-symbolic fields (`tangent_frame_field`, `lie_bracket`,
+`Hypersurface` builds grad P and Hess P once; nothing differentiates P per
+point.  `bracket_defect` evaluates the defect in closed form from grad P(p)
+and Hess P(p); the symbolic fields (`tangent_frame_field`, `lie_bracket`,
 `bracket_defect_polynomial`) give the same exact values and serve as the
 reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +31,7 @@ from .cr import (
     realify,
 )
 from .linalg import kernel_basis, rank, same_span
-from .poly import GaussianRational, MultiPoly, check_invariant, gradient
+from .poly import GaussianRational, MultiPoly, check_invariant
 
 
 class ExceptionalPointError(ValueError):
@@ -45,9 +45,14 @@ class FrameDegenerateError(ValueError):
 @dataclass(frozen=True)
 class Hypersurface:
     """Real hypersurface Z(P) in R^4.  Irreducibility is declared by the
-    caller, never verified (no real factorization in scope)."""
+    caller, never verified (no real factorization in scope).
+
+    `grad` holds the four first partials of P and `hess` the ten distinct
+    second partials, keyed by (a, b) with a <= b; both are built once."""
 
     P: MultiPoly
+    grad: tuple = field(init=False, repr=False, compare=False)
+    hess: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.P.num_vars != 4:
@@ -56,6 +61,10 @@ class Hypersurface:
             raise ValueError("hypersurface polynomial must be nonzero")
         if self.P.is_gaussian:
             raise ValueError("hypersurface polynomial must have rational coefficients")
+        grad = tuple(self.P.partial(k) for k in range(4))
+        object.__setattr__(self, "grad", grad)
+        object.__setattr__(self, "hess", {(a, b): grad[a].partial(b)
+                                          for a in range(4) for b in range(a, 4)})
 
     def contains(self, p: Sequence) -> bool:
         return self.P.evaluate(p) == 0
@@ -77,9 +86,10 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     exceptional plane.
     """
     p = tuple(Fraction(c) for c in p)
-    if not Z.contains(p):
+    cache: dict = {}
+    if Z.P.evaluate(p, cache) != 0:
         raise ValueError(f"point {p} is not on the hypersurface")
-    g = tuple(gradient(Z.P, p))
+    g = tuple(d.evaluate(p, cache) for d in Z.grad)
     if all(c == 0 for c in g):
         raise SingularPointError(f"gradient vanishes at {p}")
     if pi_containment(g) is not PiContainment.NONE:
@@ -142,22 +152,14 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-def _grad_fields(P: MultiPoly) -> tuple[list[MultiPoly], list[MultiPoly], MultiPoly]:
-    G = [P.partial(k) for k in range(4)]
-    JG = list(j_apply(G))
-    n2 = MultiPoly.zero(4)
-    for g in G:
-        n2 = n2 + g * g
-    return G, JG, n2
-
-
 def tangent_frame_field(Z: Hypersurface, i: int) -> PolyVectorField:
     """Polynomial field |grad P|^2 e_i - <e_i,grad P> grad P - <e_i,J grad P> J grad P;
     everywhere orthogonal to grad P and J grad P, hence valued in E at
     smooth non-exceptional points."""
     if not 0 <= i < 4:
         raise ValueError("coordinate index out of range")
-    G, JG, n2 = _grad_fields(Z.P)
+    G, JG = Z.grad, j_apply(Z.grad)
+    n2 = sum((g * g for g in G), MultiPoly.zero(4))
     comps = []
     for l in range(4):
         c = -G[i] * G[l] - JG[i] * JG[l]
@@ -240,11 +242,8 @@ def bracket_defect(
             f"frame pair ({i},{j}) degenerate at {p}; choose another pair"
         )
     cache: dict = {}
-    grad_polys = [Z.P.partial(k) for k in range(4)]
-    H = [[None] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(a, 4):
-            H[a][b] = H[b][a] = grad_polys[a].partial(b).evaluate(frame.base_point, cache)
+    hess = {ab: d.evaluate(frame.base_point, cache) for ab, d in Z.hess.items()}
+    H = [[hess[min(a, b), max(a, b)] for b in range(4)] for a in range(4)]
     hg = [sum(h * c for h, c in zip(row, g)) for row in H]
     hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
     jh_cols = [j_apply(row) for row in H]  # column k of J H, as H is symmetric
@@ -263,9 +262,8 @@ def bracket_defect_polynomial(Z: Hypersurface, i: int, j: int) -> MultiPoly:
     hypersurfaces its restriction to Z(P) vanishes (divisible by P)."""
     Xi, Xj = tangent_frame_fields(Z, i, j)
     bracket = lie_bracket(Xi, Xj)
-    _, JG, _ = _grad_fields(Z.P)
     total = MultiPoly.zero(4)
-    for b, jg in zip(bracket.components, JG):
+    for b, jg in zip(bracket.components, j_apply(Z.grad)):
         total = total + b * jg
     return total
 
@@ -284,7 +282,8 @@ def leaf_tangency_check(
     Z: Hypersurface, curve: ComplexCurve, samples: Sequence[Sequence]
 ) -> list[TangencyRecord]:
     """At each sample, verify exactly that the embedded curve's tangent plane
-    kernel([grad u; grad v]) equals E_p as subspaces."""
+    kernel([grad u; grad v]) equals E_p, as equality of the row spaces of
+    [grad u; grad v] and [grad P(p); J grad P(p)]."""
     pair = realify(curve)
     du = [pair.u.partial(k) for k in range(4)]
     dv = [pair.v.partial(k) for k in range(4)]
@@ -305,8 +304,7 @@ def leaf_tangency_check(
         except ValueError as exc:  # singular or exceptional point: inapplicable
             records.append(TangencyRecord(p, "skip", str(exc)))
             continue
-        tangent = kernel_basis([gu, gv])
-        ok = same_span(tangent, list(frame.e_basis))
+        ok = same_span([gu, gv], [frame.grad, frame.jgrad])
         records.append(
             TangencyRecord(p, "pass" if ok else "fail",
                            "" if ok else "tangent plane differs from E_p")

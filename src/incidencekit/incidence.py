@@ -241,8 +241,9 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
     """Certify k degrees of freedom and multiplicity type s on the arrangement.
 
     Condition 1: every k-subset of points lies on at most s curves (only
-    subsets incident to some curve can violate, so the table enumerates
-    per-curve k-subsets).  Condition 2: every curve pair shares at most s
+    subsets incident to some curve can violate, so the table counts
+    per-curve k-subsets; the curves of a violating subset are found again by
+    scanning the rows up to the current one).  Condition 2: every curve pair shares at most s
     incident points; each curve counts the points it shares with every later
     curve through a point -> curves index, which costs the sum of squared
     point degrees rather than one intersection per pair.  The first violation
@@ -252,7 +253,7 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     rows = M.curve_rows()
-    table: dict[tuple, list[int]] = {}
+    table: dict[tuple, int] = {}
     entries = 0
     for j, row in enumerate(rows):
         if len(row) < k:
@@ -265,13 +266,13 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
                 detail=f"k-subset table exceeded cap {SUBSET_TABLE_CAP}",
             )
         for subset in itertools.combinations(row, k):
-            curves_here = table.setdefault(subset, [])
-            curves_here.append(j)
-            if len(curves_here) > s:
+            count = table[subset] = table.get(subset, 0) + 1
+            if count > s:
+                curves_here = tuple(j2 for j2 in range(j + 1) if set(subset).issubset(rows[j2]))
                 return DofCertificate(
                     k, s, "violated",
-                    witness=("point-subset", subset, tuple(curves_here)),
-                    detail=f"{len(curves_here)} curves through one {k}-subset",
+                    witness=("point-subset", subset, curves_here),
+                    detail=f"{count} curves through one {k}-subset",
                 )
     point_curves: dict[int, list[int]] = {}
     for j, row in enumerate(rows):

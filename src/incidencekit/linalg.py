@@ -20,13 +20,15 @@ def _as_field(x) -> Coef:
     return Fraction(x)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by fraction-free elimination."""
-    m = [[_as_field(x) for x in row] for row in rows]
+def _eliminate(m: list[list]) -> tuple[int, int, Coef]:
+    """Fraction-free elimination of m in place: (rank, sign of the row
+    permutation, last pivot).  For a square m of full rank the last pivot
+    times the sign is det m."""
     if not m:
-        return 0
+        return 0, 1, Fraction(1)
     n_rows, n_cols = len(m), len(m[0])
     prev = Fraction(1)
+    sign = 1
     r = 0
     for col in range(n_cols):
         pivot_row = None
@@ -36,7 +38,9 @@ def rank(rows: Sequence[Sequence]) -> int:
                 break
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
         pivot = m[r][col]
         for i in range(r + 1, n_rows):
             for j in range(col + 1, n_cols):
@@ -46,7 +50,12 @@ def rank(rows: Sequence[Sequence]) -> int:
         r += 1
         if r == n_rows:
             break
-    return r
+    return r, sign, prev
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank by fraction-free elimination."""
+    return _eliminate([[_as_field(x) for x in row] for row in rows])[0]
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
@@ -110,28 +119,16 @@ def in_span(vector: Sequence, basis: Sequence[Sequence]) -> bool:
 
 
 def det(rows: Sequence[Sequence]) -> Coef:
-    """Exact determinant (Bareiss) over Q or Q(i)."""
+    """Exact determinant over Q or Q(i) by `rank`'s elimination; 1 for an
+    empty matrix."""
     m = [[_as_field(x) for x in row] for row in rows]
     n = len(m)
-    if n == 0:
-        return Fraction(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    r, sign, last = _eliminate(m)
+    if r < n:
+        return Fraction(0)
+    return -last if sign < 0 else last
 
 
 def bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, manifests, determinism."""
 
 import json
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -321,3 +322,42 @@ class TestDeterminism:
         run(["generate", "--family", "unit-circles", "--n", 3, "--seed", 2,
              "--out", "u2.json"])
         assert Path("u1.json").read_bytes() == Path("u2.json").read_bytes()
+
+
+# sha256 of the files `foliate` (JSON and CSV) writes for a generated leaf
+# family, and `partition --format csv` for a generated grid: refactors of
+# the foliation layer and the partition must keep them
+PINNED_FOLIATE = [
+    # (g, JSON sha256, CSV sha256)
+    ("z1", "f0073100e72d1dd94eec04985c62ac296ef09df0dae0c83b3e75a324935474f7",
+     "794fc7ddbbecb6ff9cb2d90668d368c16a966f794f709d674a6c87c695a70531"),
+    ("z1^2", "58955abc20823c8fcf5a241da486a20a0732e7b3070264261323ce99c6e86bf1",
+     "c9a2726989ecc6995347e000224fde741dd23aae44513afdb57f6f6dc0c94b1d"),
+    ("z1^3 + i*z1", "348e3edfc4e1fd895502efc31adf8067ed0e18e9e85fafbf83841617fcd905ea",
+     "c1ee9d9a7222860f2522c72da73b8877e77abf680e0139e0e2c6870cf8737de5"),
+]
+PINNED_PARTITION_CSV = [
+    # (grid-lines n, r, CSV sha256)
+    (3, 2, "d24844e1d5d951ea4cbc5b9ebe8660c9ba349599670a22dc5fec6289cd55b076"),
+    (4, 2, "10bbdbdb1932e74c478c5ee430bb6090bb6671d50c0a0276ef2f4c3675117579"),
+]
+
+
+def digest(path):
+    return sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("g, json_digest, csv_digest", PINNED_FOLIATE)
+def test_pinned_foliate_output(ws, g, json_digest, csv_digest):
+    run(["generate", "--family", "leaf", "--g", g, "--count", 3, "--out", "leaf.json"])
+    for fmt, expected in (("json", json_digest), ("csv", csv_digest)):
+        run(["foliate", "--hypersurface", "leaf.json", "--curves", "leaf.json",
+             "--format", fmt, "--out", "f." + fmt])
+        assert digest("f." + fmt) == expected
+
+
+@pytest.mark.parametrize("n, r, expected", PINNED_PARTITION_CSV)
+def test_pinned_partition_csv(ws, n, r, expected):
+    run(["generate", "--family", "grid-lines", "--n", n, "--out", "grid.json"])
+    assert run(["partition", "grid.json", "--r", r, "--format", "csv", "--out", "p.csv"]) == 0
+    assert digest("p.csv") == expected

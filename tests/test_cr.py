@@ -264,6 +264,51 @@ class TestTangentContainsPi:
         assert pi_containment((zero, zero, one, i)) == PiContainment.PI2
         assert pi_containment((1, 0, 0, 0)) == PiContainment.NONE
 
+    @staticmethod
+    def annihilation_oracle(grad):
+        """Plane containment by pairing grad against each plane's basis."""
+        gc = [GaussianRational.coerce(c) for c in grad]
+
+        def annihilates(basis):
+            return all(
+                sum((gi * bi for gi, bi in zip(gc, bv)), GaussianRational(0)).is_zero
+                for bv in basis
+            )
+
+        in1, in2 = annihilates(PI1_BASIS), annihilates(PI2_BASIS)
+        if in1 and in2:
+            return PiContainment.BOTH
+        if in1:
+            return PiContainment.PI1
+        if in2:
+            return PiContainment.PI2
+        return PiContainment.NONE
+
+    def test_membership_matches_the_annihilation_oracle(self):
+        vectors = list(itertools.product(VALUES, repeat=4))
+        rng = random.Random(61)
+
+        def coef():
+            return gauss(rng.randrange(-4, 5), rng.randrange(1, 4),
+                         rng.randrange(-4, 5), rng.randrange(1, 4))
+
+        for n in range(600):
+            if n % 3 == 0:  # a random vector, almost never in a plane
+                vectors.append(tuple(coef() for _ in range(4)))
+            else:  # a combination of one plane's basis vectors
+                basis = PI1_BASIS if n % 3 == 1 else PI2_BASIS
+                a, b = coef(), coef()
+                vectors.append(tuple(a * u + b * w for u, w in zip(*basis)))
+        vectors.append((0, 0, 0, 0))
+        seen = {PiContainment.BOTH: 0, PiContainment.PI1: 0,
+                PiContainment.PI2: 0, PiContainment.NONE: 0}
+        for v in vectors:
+            expected = self.annihilation_oracle(v)
+            assert pi_containment(v) == expected, v
+            seen[expected] += 1
+        assert pi_containment((0, 0, 0, 0)) == PiContainment.BOTH
+        assert min(seen.values()) >= 1 and seen[PiContainment.PI1] >= 150
+
 
 @settings(max_examples=40, deadline=None)
 @given(

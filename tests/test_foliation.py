@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from incidencekit import foliation
-from incidencekit.cr import ComplexCurve, PiContainment, SingularPointError, j_apply
+from incidencekit.cr import ComplexCurve, PiContainment, SingularPointError, iota, j_apply
 from incidencekit.foliation import (
     BracketDefect,
     ExceptionalPointError,
@@ -350,6 +350,31 @@ class TestLeafTangency:
         records = leaf_tangency_check(Z, curve, [[1, 1, 99, 1]])
         assert records[0].status == "skip"
         assert "curve" in records[0].reason
+
+    def test_line_across_the_leaves_fails_then_passes(self):
+        # Z = Im(z2 - z1^2) is foliated by the leaves z2 = z1^2 + c, c real; the
+        # line z2 = 2 z1 crosses the leaf c = 0 at the origin and is tangent
+        # to the leaf c = 1 at (1, 2)
+        Z = Hypersurface(Y2 - X1 * Y1 * 2)
+        curve = ComplexCurve(MultiPoly.variable(1, 2) - Z1 * 2)
+        records = leaf_tangency_check(Z, curve, [iota((0, 0)), iota((1, 2))])
+        assert [(r.status, r.reason) for r in records] == [
+            ("fail", "tangent plane differs from E_p"), ("pass", "")]
+
+    def test_cusp_skipped_as_not_regular(self):
+        Z = Hypersurface(Y2 - X1 * Y1 * 2)
+        z2 = MultiPoly.variable(1, 2)
+        records = leaf_tangency_check(Z, ComplexCurve(z2 * z2 - Z1**3), [[0, 0, 0, 0]])
+        assert [(r.status, r.reason) for r in records] == [
+            ("skip", "curve not regular at point")]
+
+    def test_cone_apex_skipped_as_singular(self):
+        Z = Hypersurface(X1 * X1 + Y1 * Y1 - X2 * X2 - Y2 * Y2)
+        curve = ComplexCurve(MultiPoly.variable(1, 2) - Z1)
+        records = leaf_tangency_check(Z, curve, [[0, 0, 0, 0]])
+        zero = Fraction(0)
+        assert [(r.status, r.reason) for r in records] == [
+            ("skip", f"gradient vanishes at {(zero, zero, zero, zero)}")]
 
     def test_broken_frame_invariant_raises(self, monkeypatch):
         # a wrong kernel, span{e1, e3}, is neither orthogonal to grad P nor

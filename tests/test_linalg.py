@@ -109,6 +109,16 @@ class TestDet:
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         assert det(m) == 0
 
+    def test_row_swaps_flip_the_sign(self):
+        # a zero leading entry forces one swap, a cyclic shift two, and a
+        # zero column makes the matrix singular before the last step
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        assert det([[0, 2, 3], [0, 5, 7], [0, 1, 1]]) == 0
+        assert det([]) == 1
+        with pytest.raises(ValueError):
+            det([[1, 2]])
+
 
 def minor_rank(m):
     """Rank via exhaustive nonzero-minor search (independent oracle; only
