@@ -421,6 +421,9 @@ PINNED_PARTITIONS = [
     # 40 points on 16 grid positions: heavy ties everywhere
     (40, 2, 4, 3, 4, 1, "533576e633c8c2670268d3c945b42d3d4664f7fd92318b2a57ddb287ff812735"),
     (96, 4, 2**20, 4, 2, 2, "1d21e17b2414377c61d2cef37062942c25a48f4a3850ffb7e147336820d03c9b"),
+    # 64 points on a 4^4 grid of R^4: one line search of its descents finds
+    # no valid bracket and takes the recovery (the best of the three points)
+    (64, 4, 4, 5, 2, 2, "de4b2651b9f98b3459ddda659b5d424c51141b204c25759cb37c91e721de3edf"),
 ]
 
 
