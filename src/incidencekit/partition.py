@@ -450,29 +450,24 @@ def _pencil_polish(rows, coeffs, targets):
 
 def _descend(arrays, dim, rng, sigma_schedule):
     """Annealed smoothed-imbalance descent; returns a unit normal in R^{D+1}."""
-    from scipy.optimize import minimize
+    # loaded on first use, so that a program that never partitions does not
+    # load the minimiser (or, without a bytecode cache, compile it)
+    from .powell import powell
 
     h = rng.standard_normal(dim)
     stacked = np.vstack([a for a in arrays if len(a)])
     offsets = np.cumsum([0] + [len(a) for a in arrays if len(a)])[:-1]
 
-    def objective(hv, sigma):
-        nv = np.linalg.norm(hv)
-        if nv < 1e-12:
-            return 1e18
-        s = np.tanh((stacked @ (hv / nv)) / sigma)
-        sums = np.add.reduceat(s, offsets) if len(s) else np.zeros(0)
-        return float(np.sum(sums**2)) + 1e-9 * float(np.sum(hv**2))
-
     for sigma in sigma_schedule:
-        res = minimize(
-            objective,
-            h,
-            args=(sigma,),
-            method="Powell",
-            options={"maxiter": 60, "xtol": 1e-8, "ftol": 1e-10},
-        )
-        h = res.x
+        def objective(hv, sigma=sigma):
+            nv = math.sqrt(hv.dot(hv))
+            if nv < 1e-12:
+                return 1e18
+            s = np.tanh((stacked @ (hv / nv)) / sigma)
+            sums = np.add.reduceat(s, offsets) if len(s) else np.zeros(0)
+            return float(np.add.reduce(sums * sums)) + 1e-9 * float(np.add.reduce(hv * hv))
+
+        h = powell(objective, h)
     n = np.linalg.norm(h)
     return h / n if n > 0 else h
 
@@ -672,7 +667,8 @@ def polynomial_partition(
     by exact recount on the integer rows of the lifted points."""
     if r < 2:
         raise ValueError("partition parameter r must be >= 2")
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+           for p in points]
     if not pts:
         raise ValueError("no points to partition")
     dim = len(pts[0])

@@ -35,7 +35,7 @@ def test_third_party_imports_are_the_declared_dependencies():
                 imported |= {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    assert imported - set(sys.stdlib_module_names) == declared == {"numpy", "scipy"}
+    assert imported - set(sys.stdlib_module_names) == declared == {"numpy"}
 
 
 def test_generators_and_bounds_load_neither_mpmath_nor_hashlib():
@@ -59,3 +59,23 @@ print(json.dumps({"mpmath": "mpmath" in sys.modules, "hashlib": "hashlib" in sys
     assert not loaded["mpmath"]
     if loaded["lean_sha256"]:
         assert not loaded["hashlib"]
+
+
+def test_partitioning_loads_no_scipy(tmp_path):
+    # the descent's minimiser is the package's own; scipy is a test oracle
+    script = """
+import json, sys
+from fractions import Fraction
+from incidencekit.cli import main
+from incidencekit.partition import polynomial_partition
+polynomial_partition([(Fraction(i, 7), Fraction(i * i % 5, 3)) for i in range(12)], r=2)
+codes = [main(["generate", "--family", "random", "--points", "16", "--curves", "0",
+               "--out", "r.json"]),
+         main(["partition", "r.json", "--r", "2", "--out", "p.json"])]
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"codes": [0, 0], "scipy": False}
