@@ -505,14 +505,15 @@ class TestPowellOracle:
             assert log == expected_log, f"seed {seed}"
             assert h.tobytes() == expected.tobytes(), f"seed {seed}"
 
-    @pytest.mark.parametrize("f, x0", [
+    @pytest.mark.parametrize("f, x0, evaluations", [
         # flat along every direction: each line search finds no valid
-        # bracket and keeps the best of the three points it evaluated
-        (lambda x: 1.0, np.array([0.3, -1.2, 2.0])),
+        # bracket and keeps the best of the three points it evaluated, so
+        # one evaluation at x0 is followed by three per direction
+        (lambda x: 1.0, np.array([0.3, -1.2, 2.0]), 1 + 3 * 3),
         (lambda x: float(np.dot((x - [1.5, -2.25, 0.75]) ** 2, [1.0, 3.0, 10.0])),
-         np.zeros(3)),
+         np.zeros(3), None),
     ])
-    def test_powell_evaluates_the_reference_points(self, f, x0):
+    def test_powell_evaluates_the_reference_points(self, f, x0, evaluations):
         minimize = pytest.importorskip("scipy.optimize").minimize
         expected_log, log = [], []
         expected = minimize(logged(f, expected_log), x0, method="Powell",
@@ -520,9 +521,7 @@ class TestPowellOracle:
         x = powell.powell(logged(f, log), x0)
         assert log == expected_log
         assert x.tobytes() == expected.tobytes()
-        if f(x0) == f(x0 + 1):
-            # one evaluation at x0, then three bracket points per direction
-            assert len(log) == 1 + 3 * len(x0)
+        assert evaluations in (None, len(log))
 
 
 class TestPartition:
