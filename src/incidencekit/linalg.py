@@ -1,9 +1,13 @@
 """Exact linear algebra over Q, Q(i), and polynomial rings.
 
-Rank and kernels use fraction-free (Bareiss-style) elimination with a
-deterministic pivot rule (first nonzero entry in row-major scan order),
-so results are reproducible and independent of evaluation order.  Entries
-are Fraction or GaussianRational; plain operators mix them (see `poly`).
+One fraction-free elimination serves every routine.  Bareiss ("Sylvester's
+identity and multistep integer-preserving Gaussian elimination", Math. Comp.
+1968) divides exactly in any integral domain, so the same loop runs on
+Fraction, GaussianRational and MultiPoly entries through their plain
+operators (see `poly`).  Its pivot rule is deterministic (the first nonzero
+entry scanning down the column), so results are reproducible and
+independent of evaluation order.  `rank` and `det` read its result, and
+`rref`, with it kernels and spans, back-substitutes from its echelon form.
 """
 
 from __future__ import annotations
@@ -14,77 +18,71 @@ from typing import Sequence
 from .poly import Coef, GaussianRational, MultiPoly
 
 
-def _as_field(x) -> Coef:
-    if isinstance(x, (Fraction, GaussianRational)):
+def _as_entry(x):
+    if isinstance(x, (Fraction, GaussianRational, MultiPoly)):
         return x
     return Fraction(x)
 
 
-def _eliminate(m: list[list]) -> tuple[int, int, Coef]:
-    """Fraction-free elimination of m in place: (rank, sign of the row
-    permutation, last pivot).  For a square m of full rank the last pivot
-    times the sign is det m."""
+def _eliminate(m: list[list]) -> tuple[int, int, list[int]]:
+    """Fraction-free elimination of m in place: (rank r, sign of the row
+    swaps, pivot columns).  Afterwards row k < r holds its pivot in the k-th
+    pivot column with zeros to the left, the rows below r are zero, and each
+    pivot is the minor on the rows and pivot columns up to it; so for a
+    square m of full rank the last pivot times the sign is det m."""
+    pivots: list[int] = []
     if not m:
-        return 0, 1, Fraction(1)
+        return 0, 1, pivots
     n_rows, n_cols = len(m), len(m[0])
-    prev = Fraction(1)
+    prev = None  # the previous pivot, which divides every later step exactly
     sign = 1
     r = 0
     for col in range(n_cols):
-        pivot_row = None
         for i in range(r, n_rows):
             if m[i][col]:
-                pivot_row = i
                 break
-        if pivot_row is None:
+        else:
             continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
+        if i != r:
+            m[r], m[i] = m[i], m[r]
             sign = -sign
-        pivot = m[r][col]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (pivot * m[i][j] - m[i][col] * m[r][j]) / prev
-            m[i][col] = Fraction(0)
-        prev = pivot
-        r += 1
-        if r == n_rows:
-            break
-    return r, sign, prev
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by fraction-free elimination."""
-    return _eliminate([[_as_field(x) for x in row] for row in rows])[0]
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row-echelon form over the field; returns (matrix, pivot cols)."""
-    m = [[_as_field(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv_pivot = Fraction(1) / m[r][col]
-        m[r] = [x * inv_pivot for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        top = m[r]
+        pivot = top[col]
         pivots.append(col)
         r += 1
         if r == n_rows:
             break
+        zero = pivot - pivot
+        for row in m[r:]:
+            a = row[col]
+            for j in range(col + 1, n_cols):
+                x = pivot * row[j] - a * top[j]
+                row[j] = x if prev is None else x / prev
+            row[col] = zero
+        prev = pivot
+    return r, sign, pivots
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank by fraction-free elimination."""
+    return _eliminate([[_as_entry(x) for x in row] for row in rows])[0]
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
+    """Reduced row-echelon form over the field; returns (matrix, pivot cols)."""
+    m = [[_as_entry(x) for x in row] for row in rows]
+    r, _, pivots = _eliminate(m)
+    for k in reversed(range(r)):
+        # row k is zero left of its pivot; the rows below it have already
+        # cleared its entries on their pivot columns
+        col = pivots[k]
+        row = m[k]
+        inv_pivot = 1 / row[col]
+        row[col:] = [x * inv_pivot for x in row[col:]]
+        for above in m[:k]:
+            f = above[col]
+            if f:
+                above[col:] = [a - f * b for a, b in zip(above[col:], row[col:])]
     return m, pivots
 
 
@@ -118,41 +116,19 @@ def in_span(vector: Sequence, basis: Sequence[Sequence]) -> bool:
     return rank(list(basis) + [list(vector)]) == r
 
 
-def det(rows: Sequence[Sequence]) -> Coef:
-    """Exact determinant over Q or Q(i) by `rank`'s elimination; 1 for an
-    empty matrix."""
-    m = [[_as_field(x) for x in row] for row in rows]
+def det(rows: Sequence[Sequence]) -> Coef | MultiPoly:
+    """Exact determinant over Q, Q(i) or a polynomial ring by the one
+    elimination; 1 for an empty matrix, and Fraction(0) for a singular one
+    over Q or Q(i)."""
+    m = [[_as_entry(x) for x in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
-    r, sign, last = _eliminate(m)
+    if not m:
+        return Fraction(1)
+    r, sign, _ = _eliminate(m)
+    last = m[-1][-1]
     if r < n:
-        return Fraction(0)
+        # the last row is zero: the ring's zero
+        return last if isinstance(last, MultiPoly) else Fraction(0)
     return -last if sign < 0 else last
-
-
-def bareiss_det_poly(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant of a matrix of polynomials; all interior
-    divisions are exact in the polynomial ring."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nv = rows[0][0].num_vars
-    m = [list(row) for row in rows]
-    one = MultiPoly.constant(1, nv)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if swap is None:
-                return MultiPoly.zero(nv)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result

@@ -813,13 +813,14 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
     Each factor is isolated on its own, which is far cheaper than isolating
     the product.  Where intervals of different factors overlap, a gcd decides
     whether they hold one shared root (kept once, on the overlap) or two
-    distinct roots (bisected until they separate)."""
-    sfs = [squarefree_part(f) for f in factors]
-    # [lo, hi, factor]: one root of sfs[factor] in (lo, hi), or exactly lo == hi
+    distinct roots (bisected until they separate).  Only _halve needs a
+    factor's squarefree part; the other steps read the factor itself."""
+    # [lo, hi, factor]: one root of factors[factor] in (lo, hi), or exactly lo == hi
     entries = [
-        [lo, hi, f] for f, sf in enumerate(sfs) for lo, hi in isolate_real_roots(sf)
+        [lo, hi, f] for f, c in enumerate(factors) for lo, hi in isolate_real_roots(c)
     ]
     gcds: dict[tuple[int, int], list[Fraction]] = {}
+    sfs: dict[int, list[Fraction]] = {}
 
     def shared(e1, e2) -> bool:
         (lo1, hi1, f1), (lo2, hi2, f2) = e1, e2
@@ -827,10 +828,10 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
             # an exact root x inside the other's closed interval: shared iff
             # the other factor vanishes there
             x, f = (lo1, f2) if lo1 == hi1 else (lo2, f1)
-            return poly_eval_coeffs(sfs[f], x) == 0
+            return poly_eval_coeffs(factors[f], x) == 0
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if (f1, f2) not in gcds:
-            gcds[f1, f2] = squarefree_part(poly_gcd(sfs[f1], sfs[f2]))
+            gcds[f1, f2] = squarefree_part(poly_gcd(factors[f1], factors[f2]))
         h = gcds[f1, f2]
         # h is squarefree and has at most one root on the overlap, whose
         # ends are not roots of h: a sign change decides it
@@ -859,6 +860,8 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
             for e in (e1, e2):
                 lo, hi, f = e
                 if lo != hi:
+                    if f not in sfs:
+                        sfs[f] = squarefree_part(factors[f])
                     e[:2] = _halve(sfs[f], lo, hi, _sign(poly_eval_coeffs(sfs[f], hi)))
 
 

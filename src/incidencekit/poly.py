@@ -6,8 +6,9 @@ promotes to GaussianRational through Python's numeric protocol: Fraction's
 operators return NotImplemented for a GaussianRational, so Python falls
 through to GaussianRational's reflected operators, which coerce.  Code
 therefore writes plain `+ - * /` on coefficients and tests zero with
-`bool`.  All arithmetic is exact; polynomials are immutable after
-construction.
+`bool`.  MultiPoly speaks the same protocol (`bool` is "nonzero", `/` is
+exact), so `linalg`'s elimination runs on polynomial entries too.  All
+arithmetic is exact; polynomials are immutable after construction.
 """
 
 from __future__ import annotations
@@ -226,6 +227,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     @property
     def total_degree(self) -> int:
         """-1 for the zero polynomial."""
@@ -299,6 +303,13 @@ class MultiPoly:
         return MultiPoly(self.num_vars, terms)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Exact quotient: by a scalar through its reciprocal, by a
+        polynomial through exact_div, which raises if it is inexact."""
+        if isinstance(other, MultiPoly):
+            return self.exact_div(other)
+        return self * (1 / _coerce_scalar(other))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -574,7 +585,8 @@ def gradient(p: MultiPoly, point: Sequence[Scalar]) -> list[Coef]:
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
-    """Sylvester resultant eliminating `var`.
+    """Sylvester resultant eliminating `var`, as `linalg.det` of the Sylvester
+    matrix (diagonal when one side is constant in `var`).
 
     Zero iff f and g share a factor of positive degree in `var`.
     """
@@ -584,29 +596,18 @@ def resultant(f: MultiPoly, g: MultiPoly, var: int) -> MultiPoly:
     df, dg = f.degree_in(var), g.degree_in(var)
     if df <= 0 and dg <= 0:
         raise ValueError("both polynomials are constant in the eliminated variable")
-    nv = f.num_vars
-    fc = f.as_univariate(var)
-    gc = g.as_univariate(var)
-    if df <= 0:
-        return fc[0] ** dg
-    if dg <= 0:
-        return gc[0] ** df
-    size = df + dg
-    zero = MultiPoly.zero(nv)
+    zero = MultiPoly.zero(f.num_vars)
     rows = []
-    for i in range(dg):  # rows of f coefficients
-        row = [zero] * size
-        for j, c in enumerate(fc):
-            row[i + (df - j)] = c  # descending order placement
-        rows.append(row)
-    for i in range(df):
-        row = [zero] * size
-        for j, c in enumerate(gc):
-            row[i + (dg - j)] = c
-        rows.append(row)
-    from .linalg import bareiss_det_poly
+    # dg shifted rows of f's coefficients, then df of g's, in descending order
+    for coeffs, d, copies in ((f.as_univariate(var), df, dg), (g.as_univariate(var), dg, df)):
+        for i in range(copies):
+            row = [zero] * (df + dg)
+            for j, c in enumerate(coeffs):
+                row[i + d - j] = c
+            rows.append(row)
+    from .linalg import det
 
-    return bareiss_det_poly(rows)
+    return det(rows)
 
 
 def jacobian_rank(polys: Iterable[MultiPoly], point: Sequence[Scalar]) -> int:
@@ -663,7 +664,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 c = right.terms.get((0,) * nv)
                 if c is None:
                     raise ValueError("division by zero")
-                return left * (1 / c)
+                return left / c
             raise ValueError(f"unsupported operator {node.op!r}")
         if isinstance(node, ast.UnaryOp):
             val = walk(node.operand)

@@ -14,6 +14,7 @@ from incidencekit.linalg import (
     rref,
     same_span,
 )
+from incidencekit.poly import GaussianRational, MultiPoly
 
 
 def rand_matrix(rng, rows, cols, target_rank=None):
@@ -120,6 +121,141 @@ class TestDet:
             det([[1, 2]])
 
 
+class TestAgainstGaussJordan:
+    """The one fraction-free elimination against textbook Gauss-Jordan
+    reduction and the Leibniz determinant, on seeded Q and Q(i) matrices."""
+
+    def test_rank_rref_kernel_det(self):
+        rng = random.Random(1968)
+        shapes = set()
+        for k in range(600):
+            field = ("Q", "Q(i)", "mixed")[k % 3]
+            m = shaped_matrix(rng, k, field)
+            expected, pivots = _rref_oracle(m)
+            got, got_pivots = rref(m)
+            assert got_pivots == pivots
+            assert got == expected
+            if field != "mixed":
+                # over one coefficient type the types match entry for entry
+                assert [[type(x) for x in row] for row in got] == \
+                    [[type(x) for x in row] for row in expected]
+            assert rank(m) == len(pivots)
+            kernel = kernel_basis(m)
+            assert kernel == _kernel_from_rref(expected, pivots, len(m[0]))
+            for v in kernel:
+                for row in m:
+                    assert sum((a * b for a, b in zip(row, v)), Fraction(0)) == 0
+            n = min(len(m), len(m[0]))
+            square = [row[:n] for row in m[:n]]
+            d = det(square)
+            assert d == _perm_det_oracle(square)
+            if not d:
+                assert type(d) is Fraction
+            rows, cols = len(m), len(m[0])
+            shapes.add("wide" if cols > rows else "tall" if rows > cols else "square")
+            if len(pivots) < min(rows, cols):
+                shapes.add("rank-deficient")
+            if any(all(not row[j] for row in m) for j in range(cols)):
+                shapes.add("zero column")
+            if not m[0][0]:
+                shapes.add("zero leading entry")
+        assert shapes == {"wide", "tall", "square", "rank-deficient", "zero column",
+                          "zero leading entry"}
+
+
+class TestPolynomialDet:
+    def test_matches_leibniz_expansion(self):
+        rng = random.Random(29)
+        x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        zero, one = MultiPoly.zero(2), MultiPoly.constant(1, 2)
+        entries = [zero, one, x, y, x - y, x * y + 2, x * x - 3 * y,
+                   (x + 1) * GaussianRational(1, 2)]
+        kinds = set()
+        for k in range(80):
+            n = k % 4 + 1
+            m = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            if k % 5 == 1 and n > 1:  # singular: a multiple of another row
+                c = rng.choice(entries[1:])
+                m[-1] = [c * a for a in m[0]]
+            elif k % 5 == 2:  # a zero leading entry forces a row swap
+                m[0][0] = zero
+            expected = _perm_det_oracle(m, zero, one)
+            d = det(m)
+            assert isinstance(d, MultiPoly)
+            assert d == expected
+            kinds.add("singular" if expected.is_zero else "regular")
+            if not m[0][0] and any(row[0] for row in m):
+                kinds.add("row swap")
+        assert kinds == {"singular", "regular", "row swap"}
+
+
+def shaped_matrix(rng, k, field):
+    """A seeded 1-5 x 1-6 matrix: case k % 4 is full random, rank-deficient,
+    with a zero column, or with a zero leading entry.  Over "mixed" the
+    entries are Fractions and GaussianRationals side by side."""
+
+    def entry():
+        q = Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+        if field == "Q" or (field == "mixed" and rng.random() < 0.5):
+            return q
+        return GaussianRational(q, rng.randrange(-3, 4))
+
+    rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+    m = [[entry() for _ in range(cols)] for _ in range(rows)]
+    zero = Fraction(0) if field == "Q" else GaussianRational(0)
+    case = k % 4
+    if case == 1 and rows > 1:
+        a, b = rng.randrange(rows - 1), rng.randrange(rows - 1)
+        c = entry()
+        m[-1] = [p + c * q for p, q in zip(m[a], m[b])]
+    elif case == 2:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = zero
+    elif case == 3:
+        m[0][0] = zero
+    return m
+
+
+def _rref_oracle(rows):
+    """Gauss-Jordan reduction over the field, pivoting on the first nonzero
+    entry down each column: the reduced row-echelon form and pivot columns."""
+    m = [[x if isinstance(x, (Fraction, GaussianRational)) else Fraction(x) for x in row]
+         for row in rows]
+    if not m:
+        return [], []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(r, n_rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv_pivot = Fraction(1) / m[r][col]
+        m[r] = [x * inv_pivot for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def _kernel_from_rref(m, pivots, n_cols):
+    basis = []
+    for fcol in (j for j in range(n_cols) if j not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[fcol] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            v[pcol] = -m[r][fcol]
+        basis.append(v)
+    return basis
+
+
 def minor_rank(m):
     """Rank via exhaustive nonzero-minor search (independent oracle; only
     sensible for small matrices)."""
@@ -134,17 +270,18 @@ def minor_rank(m):
     return 0
 
 
-def _perm_det_oracle(m):
+def _perm_det_oracle(m, zero=Fraction(0), one=Fraction(1)):
+    """Leibniz expansion over the ring with the given zero and one."""
     n = len(m)
-    total = Fraction(0)
+    total = zero
     for perm in itertools.permutations(range(n)):
         sign = 1
         for i in range(n):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = Fraction(1)
+        prod = one
         for i in range(n):
-            prod *= m[i][perm[i]]
-        total += sign * prod
+            prod = prod * m[i][perm[i]]
+        total = total + prod if sign > 0 else total - prod
     return total

@@ -1,5 +1,6 @@
 """Exact arithmetic kernel: polynomials, derivatives, resultants."""
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -288,6 +289,40 @@ class TestResultant:
             # distinct lines: resultant is a nonzero linear polynomial in z1
             assert not r.is_zero
 
+    def test_pinned_digest(self):
+        # recorded before resultant moved onto linalg.det; the cases include
+        # sides constant in the variable, common factors and Q(i)
+        assert _resultant_digest() == RESULTANT_DIGEST
+
+
+RESULTANT_DIGEST = "08d7f090dcf8d53a54461508cfd8c8f0f18a00fe7d83701abae761da9dede181"
+
+
+def _resultant_digest() -> str:
+    """sha256 over seeded resultant cases: each pair, the eliminated
+    variable, and the resultant's JSON or the exception it raised."""
+    rng = random.Random(1968)
+    h = hashlib.sha256()
+    for k in range(120):
+        gaussian = k % 3 == 2
+        var = k % 2
+        f = rand_poly(rng, 2, 3, density=4, gaussian=gaussian)
+        g = rand_poly(rng, 2, 3, density=4, gaussian=gaussian)
+        if k % 5 == 1:  # a common factor
+            g = g * f
+        elif k % 5 == 2:  # f constant in var
+            f = f.as_univariate(var)[0]
+        elif k % 5 == 3:  # g constant in var
+            g = g.as_univariate(var)[0]
+        elif k % 5 == 4:  # both sides constant in var
+            f, g = f.as_univariate(var)[0], g.as_univariate(var)[0]
+        try:
+            out = resultant(f, g, var).to_json()
+        except ValueError as exc:
+            out = type(exc).__name__
+        h.update(f"{f.to_json()}|{g.to_json()}|{var}|{out}\n".encode())
+    return h.hexdigest()
+
 
 small_coef = st.fractions(
     min_value=-8, max_value=8, max_denominator=4
@@ -331,6 +366,25 @@ class TestRingAxioms:
     def test_commutativity(self, p, q):
         assert p * q == q * p
         assert p + q == q + p
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys())
+    def test_truth_value_is_nonzero(self, p):
+        assert bool(p) == (not p.is_zero)
+
+    @settings(max_examples=50, deadline=None)
+    @given(polys(), polys().filter(lambda q: not q.is_zero), small_coef)
+    def test_division(self, p, q, c):
+        assert (p * q) / q == p
+        assert p / c == p * (1 / c)
+        if q.total_degree > 0:
+            # the constant term is left over once p is divided out
+            with pytest.raises(ValueError):
+                (p * q + 1) / q
+        with pytest.raises(ZeroDivisionError):
+            p / MultiPoly.zero(p.num_vars)
+        with pytest.raises(ZeroDivisionError):
+            p / 0
 
 
 class TestSerialization:
