@@ -26,7 +26,6 @@ from .foliation import (
     distribution_frame,
     leaf_tangency_check,
     lie_bracket,
-    tangent_frame_fields,
 )
 from .incidence import (
     BoundReport,

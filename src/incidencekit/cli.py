@@ -24,13 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .configurations import GeneratorSpec, LeafFamily, generate, sha256
-from .foliation import (
-    FrameDegenerateError,
-    Hypersurface,
-    bracket_defect,
-    containment_check,
-    leaf_tangency_check,
-)
+from .foliation import Hypersurface, bracket_defect, containment_check, leaf_tangency_check
 from .cr import ComplexCurve
 from .incidence import (
     Configuration,
@@ -120,9 +114,7 @@ def cmd_generate(args) -> int:
     started = time.monotonic()
     params = {"family": args.family, "seed": args.seed}
     spec_params: dict = {}
-    if args.family == "grid-lines":
-        spec_params["n"] = _require(args.n, "--n")
-    elif args.family == "unit-circles":
+    if args.family in ("grid-lines", "unit-circles"):
         spec_params["n"] = _require(args.n, "--n")
     elif args.family == "complex-lines-product":
         spec_params["size_a"] = _require(args.size_a, "--size-a")
@@ -226,14 +218,9 @@ def cmd_partition(args) -> int:
     config = _load_config(args.config)
     if config.ground_field != "R2":
         raise InputError("partitioning expects a real planar configuration")
-    try:
-        result = polynomial_partition(
-            config.points, args.r, delta=args.delta,
-            restarts=args.restarts, seed=args.seed,
-        )
-    except BudgetExhaustedError as exc:
-        print(f"budget exhausted: {exc}")
-        return EXIT_INDETERMINATE
+    result = polynomial_partition(
+        config.points, args.r, delta=args.delta, restarts=args.restarts, seed=args.seed,
+    )
     out = Path(args.out or "partition.json")
     if args.format == "csv":
         lines = ["sign_class,count"]
@@ -294,7 +281,7 @@ def cmd_foliate(args) -> int:
             if rec.status == "pass":
                 try:
                     defect = str(bracket_defect(Z, rec.point).raw)
-                except (ValueError, FrameDegenerateError):
+                except ValueError:
                     defect = None
             if rec.status == "fail":
                 any_fail = True

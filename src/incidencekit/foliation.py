@@ -9,10 +9,10 @@ p when [grad u; grad v] and [grad P(p); J grad P(p)] have the same row space
 (both have rank 2 there, so their kernels then agree).
 
 `Hypersurface` builds grad P and Hess P once; nothing differentiates P per
-point.  `bracket_defect` evaluates the defect in closed form from grad P(p)
-and Hess P(p); the symbolic fields (`tangent_frame_field`, `lie_bracket`,
-`bracket_defect_polynomial`) give the same exact values and serve as the
-reference.
+point.  One closed form in grad P and Hess P, `_levi_defect`, gives the
+defect at a point (`bracket_defect`) and as a polynomial
+(`bracket_defect_polynomial`).  The symbolic fields and their Lie bracket
+are the reference the tests hold it to; no program path uses them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ class FrameDegenerateError(ValueError):
 @dataclass(frozen=True)
 class Hypersurface:
     """Real hypersurface Z(P) in R^4.  Irreducibility is declared by the
-    caller, never verified (no real factorization in scope).
+    caller, never verified (no real factorization in scope).  P is held
+    over Q, also when its real coefficients are given as Gaussian rationals.
 
     `grad` holds the four first partials of P and `hess` the ten distinct
     second partials, keyed by (a, b) with a <= b; both are built once."""
@@ -61,6 +62,9 @@ class Hypersurface:
             raise ValueError("hypersurface polynomial must be nonzero")
         if self.P.is_gaussian:
             raise ValueError("hypersurface polynomial must have rational coefficients")
+        if any(isinstance(c, GaussianRational) for c in self.P.terms.values()):
+            object.__setattr__(self, "P", MultiPoly(4, {
+                e: getattr(c, "re", c) for e, c in self.P.terms.items()}))
         grad = tuple(self.P.partial(k) for k in range(4))
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", {(a, b): grad[a].partial(b)
@@ -169,21 +173,21 @@ def tangent_frame_field(Z: Hypersurface, i: int) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-def tangent_frame_fields(Z: Hypersurface, i: int, j: int):
-    if i == j:
-        raise ValueError("frame indices must differ")
-    return tangent_frame_field(Z, i), tangent_frame_field(Z, j)
-
-
 def _frame_vectors(g: Sequence) -> list[tuple]:
-    """The values X_0(p), ..., X_3(p) of the frame fields, from g = grad P(p):
-    X_i(p) = |g|^2 e_i - g_i g - (Jg)_i Jg."""
+    """X_0, ..., X_3 from g = grad P, at a point or as polynomials:
+    X_i = |g|^2 e_i - g_i g - (Jg)_i Jg."""
     jg = j_apply(g)
     n2 = sum(c * c for c in g)
     return [
         tuple((n2 if l == i else 0) - g[i] * g[l] - jg[i] * jg[l] for l in range(4))
         for i in range(4)
     ]
+
+
+def _gram(a: Sequence, b: Sequence):
+    """|a|^2 |b|^2 - <a, b>^2, the squared area of a wedge b: zero iff a, b are dependent."""
+    ab = sum(x * y for x, y in zip(a, b))
+    return sum(x * x for x in a) * sum(y * y for y in b) - ab * ab
 
 
 def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
@@ -193,17 +197,44 @@ def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
     best_area = Fraction(-1)
     for i in range(4):
         for j in range(i + 1, 4):
-            a, b = values[i], values[j]
-            aa = sum(x * x for x in a)
-            bb = sum(x * x for x in b)
-            ab = sum(x * y for x, y in zip(a, b))
-            area = aa * bb - ab * ab  # Gram determinant
+            area = _gram(values[i], values[j])
             if area > best_area:
                 best_area = area
                 best = (i, j)
     if best_area == 0:
         raise FrameDegenerateError(f"no independent frame pair at {p}")
     return best
+
+
+def _check_pair(i, j):
+    """The frame-pair rule: two distinct coordinate indices in 0..3."""
+    if i is None or j is None:
+        raise ValueError("name both frame indices, or neither")
+    if i == j:
+        raise ValueError("frame indices must differ")
+    if not (0 <= i < 4 and 0 <= j < 4):
+        raise ValueError("coordinate index out of range")
+
+
+def _levi_defect(g: Sequence, hess: dict, values: Sequence, i: int, j: int):
+    """<[X_i, X_j], J grad P> from g = grad P, the Hessian table `hess` and the
+    frame values X_0..X_3, over any commutative ring: rationals at a point, or
+    the polynomials themselves.  With w_a[k] = <d_k X_a, Jg>, the pairing is
+    sum_k X_i[k] w_j[k] - X_j[k] w_i[k], and differentiating
+    X_a = |g|^2 e_a - g_a g - (Jg)_a Jg gives, using the polynomial identities
+    <g, Jg> = 0 and |Jg| = |g|, w_a[k] = (Jg)_a (Hg)_k - g_a (H Jg)_k - |g|^2 (JH)_ak."""
+    jg = j_apply(g)
+    H = [[hess[min(a, b), max(a, b)] for b in range(4)] for a in range(4)]
+    hg = [sum(h * c for h, c in zip(row, g)) for row in H]
+    hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
+    jh_cols = [j_apply(row) for row in H]  # column k of J H, as H is symmetric
+    n2 = sum(c * c for c in g)
+
+    def w(a):
+        return [jg[a] * hg[k] - g[a] * hjg[k] - n2 * jh_cols[k][a] for k in range(4)]
+
+    wi, wj = w(i), w(j)
+    return sum(x * b - y * a for x, y, a, b in zip(values[i], values[j], wi, wj))
 
 
 @dataclass(frozen=True)
@@ -218,54 +249,30 @@ def bracket_defect(
 ) -> BracketDefect:
     """Exact pairing <[X_i, X_j](p), J grad P(p)>; zero iff the bracket stays
     in E_p at p (the grad-P pairing vanishes automatically for fields
-    tangent to level sets).
-
-    Evaluated pointwise from g = grad P(p) and H = Hess P(p).  With
-    w_a[k] = <d_k X_a(p), Jg>, the pairing is
-    sum_k X_i(p)_k w_j[k] - X_j(p)_k w_i[k], and differentiating
-    X_a = |G|^2 e_a - G_a G - (JG)_a JG gives, using <g, Jg> = 0 and
-    |Jg| = |g|,  w_a[k] = (Jg)_a (Hg)_k - g_a (H Jg)_k - |g|^2 (JH)_ak.
-    The result equals `bracket_defect_polynomial(Z, i, j)` at p exactly.
+    tangent to level sets).  Name both frame indices, or neither for the
+    widest pair at p.  Equals `bracket_defect_polynomial(Z, i, j)` at p.
     """
     frame = distribution_frame(Z, p)
-    g, jg = frame.grad, frame.jgrad
+    g = frame.grad
     values = _frame_vectors(g)
-    if i is None or j is None:
+    if i is None and j is None:
         i, j = _widest_pair(values, p)
-    elif i == j:
-        raise ValueError("frame indices must differ")
-    elif not (0 <= i < 4 and 0 <= j < 4):
-        raise ValueError("coordinate index out of range")
-    vi, vj = values[i], values[j]
-    if rank([list(vi), list(vj)]) != 2:
-        raise FrameDegenerateError(
-            f"frame pair ({i},{j}) degenerate at {p}; choose another pair"
-        )
+    else:
+        _check_pair(i, j)
+        if _gram(values[i], values[j]) == 0:
+            raise FrameDegenerateError(f"frame pair ({i},{j}) degenerate at {p}; "
+                                       "choose another pair")
     cache: dict = {}
     hess = {ab: d.evaluate(frame.base_point, cache) for ab, d in Z.hess.items()}
-    H = [[hess[min(a, b), max(a, b)] for b in range(4)] for a in range(4)]
-    hg = [sum(h * c for h, c in zip(row, g)) for row in H]
-    hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
-    jh_cols = [j_apply(row) for row in H]  # column k of J H, as H is symmetric
-    n2 = sum(c * c for c in g)
-
-    def w(a):
-        return [jg[a] * hg[k] - g[a] * hjg[k] - n2 * jh_cols[k][a] for k in range(4)]
-
-    wi, wj = w(i), w(j)
-    raw = sum(x * b - y * a for x, y, a, b in zip(vi, vj, wi, wj))
-    return BracketDefect(raw, raw / n2**3, (i, j))
+    raw = _levi_defect(g, hess, values, i, j)
+    return BracketDefect(raw, raw / sum(c * c for c in g) ** 3, (i, j))
 
 
 def bracket_defect_polynomial(Z: Hypersurface, i: int, j: int) -> MultiPoly:
     """The defect as a polynomial <[X_i,X_j], J grad P>; on Levi-flat
     hypersurfaces its restriction to Z(P) vanishes (divisible by P)."""
-    Xi, Xj = tangent_frame_fields(Z, i, j)
-    bracket = lie_bracket(Xi, Xj)
-    total = MultiPoly.zero(4)
-    for b, jg in zip(bracket.components, j_apply(Z.grad)):
-        total = total + b * jg
-    return total
+    _check_pair(i, j)
+    return _levi_defect(Z.grad, Z.hess, _frame_vectors(Z.grad), i, j)
 
 
 # -- leaf tangency and containment -------------------------------------------

@@ -180,6 +180,28 @@ class TestPartitionFoliateBoundFit:
         assert all(r["tangency"] == "pass" for r in records if r["tangency"])
         assert all(r["containment"] == "true" for r in records)
 
+    def test_partition_budget_exhausted_exit3(self, ws, capsys):
+        run(["generate", "--family", "grid-lines", "--n", 2, "--out", "g.json"])
+        capsys.readouterr()
+        assert run(["partition", "g.json", "--r", 8, "--restarts", 1, "--delta", 0,
+                    "--out", "p.json"]) == 3
+        out, err = capsys.readouterr()
+        assert "budget exhausted" in err and "budget exhausted" not in out
+        assert not Path("p.json").exists()
+        assert not Path("p.json.manifest.json").exists()
+
+    def test_foliate_reads_real_coefficients_written_in_q_i(self, ws):
+        run(["generate", "--family", "leaf", "--g", "z1^2", "--count", 3, "--out", "leaf.json"])
+        obj = json.loads(Path("leaf.json").read_text())
+        term = obj["hypersurface"]["terms"][0]
+        term["coef"] = {"re": term["coef"], "im": "0/1"}
+        Path("leaf_qi.json").write_text(json.dumps(obj))
+        for fmt in ("json", "csv"):
+            for source in ("leaf", "leaf_qi"):
+                assert run(["foliate", "--hypersurface", source + ".json", "--curves", "leaf.json",
+                            "--format", fmt, "--out", f"f_{source}.{fmt}"]) == 0
+            assert Path(f"f_leaf_qi.{fmt}").read_bytes() == Path(f"f_leaf.{fmt}").read_bytes()
+
     def test_bound_command(self, ws):
         assert run(["bound", "--m", 54, "--n", 27, "--k", 2, "--i", 81,
                     "--out", "b.json"]) == 0

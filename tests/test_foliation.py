@@ -22,7 +22,6 @@ from incidencekit.foliation import (
     leaf_tangency_check,
     lie_bracket,
     tangent_frame_field,
-    tangent_frame_fields,
 )
 from incidencekit.linalg import in_span, rank, same_span
 from incidencekit.poly import GaussianRational, I_UNIT, InvariantError, MultiPoly
@@ -127,8 +126,7 @@ class TestFrameFields:
     def test_flat_example(self):
         # P = y2 - y1, |grad|^2 = 2: X1 = 2 e1 - 0 - 1*(1,0,-1,0) = (1,0,1,0)
         Z = Hypersurface(Y2 - Y1)
-        Xa, _ = tangent_frame_fields(Z, 0, 1)
-        vals = Xa.evaluate([0, 0, 0, 0])
+        vals = tangent_frame_field(Z, 0).evaluate([0, 0, 0, 0])
         assert list(vals) == [1, 0, 1, 0]
 
     def test_orthogonality_identity(self):
@@ -148,7 +146,7 @@ class TestFrameFields:
             grads = [P.partial(i) for i in range(4)]
             jg = [-grads[1], grads[0], -grads[3], grads[2]]
             for i in range(4):
-                Xi, _ = tangent_frame_fields(Z, i, (i + 1) % 4)
+                Xi = tangent_frame_field(Z, i)
                 dot_g = MultiPoly.zero(4)
                 dot_jg = MultiPoly.zero(4)
                 for c, g, j in zip(Xi.components, grads, jg):
@@ -161,7 +159,7 @@ class TestFrameFields:
         Z = Hypersurface(Y2 - X1 * Y1 * 2)
         p = [Fraction(1), Fraction(2), Fraction(0), Fraction(4)]
         frame = distribution_frame(Z, p)
-        Xa, Xb = tangent_frame_fields(Z, 0, 1)
+        Xa, Xb = tangent_frame_field(Z, 0), tangent_frame_field(Z, 1)
         basis = [list(v) for v in frame.e_basis]
         assert in_span(list(Xa.evaluate(p)), basis)
         assert in_span(list(Xb.evaluate(p)), basis)
@@ -196,6 +194,15 @@ def outcome(call):
     return d.raw, d.normalized, d.indices
 
 
+def lie_defect_polynomial(Z, i, j):
+    """sum_k [X_i, X_j]_k (J grad P)_k from the symbolic frame fields and their
+    Lie bracket: the definition, independent of the package's closed form."""
+    g = [Z.P.partial(k) for k in range(4)]
+    jg = [-g[1], g[0], -g[3], g[2]]
+    bracket = lie_bracket(tangent_frame_field(Z, i), tangent_frame_field(Z, j))
+    return sum((b * c for b, c in zip(bracket.components, jg)), MultiPoly.zero(4))
+
+
 def symbolic_defect(Z, p, i, j, polys):
     """The defect from the symbolic fields and their Lie bracket; `polys`
     keeps each pair's defect polynomial for reuse at other points."""
@@ -216,11 +223,13 @@ def symbolic_defect(Z, p, i, j, polys):
         if best is None:
             raise FrameDegenerateError("no independent frame pair")
         i, j = best
-    Xi, Xj = tangent_frame_fields(Z, i, j)
+    if i == j:
+        raise ValueError("frame indices must differ")
+    Xi, Xj = tangent_frame_field(Z, i), tangent_frame_field(Z, j)
     if rank([list(Xi.evaluate(p)), list(Xj.evaluate(p))]) != 2:
         raise FrameDegenerateError("degenerate frame pair")
     if (i, j) not in polys:
-        polys[i, j] = bracket_defect_polynomial(Z, i, j)
+        polys[i, j] = lie_defect_polynomial(Z, i, j)
     raw = polys[i, j].evaluate(p)
     return BracketDefect(raw, raw / sum(c * c for c in frame.grad) ** 3, (i, j))
 
@@ -259,6 +268,30 @@ class TestBracketDefect:
                 continue
             quotient = poly.exact_div(P)
             assert quotient * P == poly
+
+    def test_defect_polynomial_matches_lie_bracket(self):
+        # the closed form over MultiPoly entries is the Lie-bracket pairing, as
+        # a polynomial, on seeded P of degree <= 4, the sphere, the cone and
+        # the Levi-flat Im(z2 - z1^2), for every ordered frame pair
+        rng = random.Random(77)
+        cases = [
+            X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - 1,
+            X1 * X1 + Y1 * Y1 - X2 * X2 - Y2 * Y2,
+            Y2 - X1 * Y1 * 2,
+        ]
+        cases += [random_poly(rng, 4) for _ in range(8)]
+        checked = 0
+        for P in cases:
+            if P.is_zero:
+                continue
+            Z = Hypersurface(P)
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        want = lie_defect_polynomial(Z, i, j)
+                        assert bracket_defect_polynomial(Z, i, j) == want, (P, i, j)
+                        checked += not want.is_zero
+        assert checked > 100
 
     def test_sphere_nonzero(self):
         P = X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - MultiPoly.constant(1, 4)
@@ -303,6 +336,25 @@ class TestBracketDefect:
             bracket_defect(Z, [0, 0, 0, 0], 2, 2)
         with pytest.raises(ValueError, match="out of range"):
             bracket_defect(Z, [0, 0, 0, 0], -1, 2)
+        for i, j in ((2, None), (None, 2)):
+            with pytest.raises(ValueError, match="both frame indices"):
+                bracket_defect(Z, [0, 0, 0, 0], i, j)
+
+    def test_one_pair_rule_for_points_polynomials_and_fields(self):
+        Z = Hypersurface(Y2 - Y1)
+
+        def error(call):
+            with pytest.raises(ValueError) as exc:
+                call()
+            return type(exc.value), str(exc.value)
+
+        for i, j in ((1, 1), (0, 4), (-1, 2)):
+            want = error(lambda: bracket_defect(Z, [0, 0, 0, 0], i, j))
+            assert error(lambda: bracket_defect_polynomial(Z, i, j)) == want
+            bad = [k for k in (i, j) if not 0 <= k < 4]
+            # a single field has no partner to differ from, only a range
+            if bad:
+                assert error(lambda: tangent_frame_field(Z, bad[0])) == want
 
     def test_exceptional_point_raised_before_the_frame(self, monkeypatch):
         # a real gradient never annihilates an exceptional plane, so force it
@@ -311,6 +363,23 @@ class TestBracketDefect:
         for i, j in ((None, None), (0, 1), (1, 1)):
             assert outcome(lambda: bracket_defect(Z, [0, 0, 0, 0], i, j)) == (
                 ExceptionalPointError, None)
+
+
+def test_real_coefficients_written_in_q_i_act_as_rationals():
+    # P = Im(z2 - z1^2) with one coefficient a Gaussian rational of zero
+    # imaginary part, as a file writing it as {"re": ..., "im": "0/1"} gives
+    P = Y2 - X1 * Y1 * 2
+    P_qi = MultiPoly(4, {**P.terms, (1, 1, 0, 0): GaussianRational(-2, 0)})
+    assert any(isinstance(c, GaussianRational) for c in P_qi.terms.values())
+    Z, Z_qi = Hypersurface(P), Hypersurface(P_qi)
+    curve = ComplexCurve(MultiPoly.variable(1, 2) - Z1 * Z1 - MultiPoly.constant(2, 2))
+    samples = leaf_sample_points(Z1 * Z1, Fraction(2), [GaussianRational(Fraction(k, 3), 1)
+                                                         for k in range(-4, 5)])
+    assert leaf_tangency_check(Z_qi, curve, samples) == leaf_tangency_check(Z, curve, samples)
+    for p in samples + [[1, 2, 0, 4], iota((1, 2))]:
+        for i, j in ((None, None), (0, 1), (2, 3)):
+            got = outcome(lambda: bracket_defect(Z_qi, p, i, j))
+            assert got == outcome(lambda: bracket_defect(Z, p, i, j)), (p, i, j)
 
 
 class TestLeafTangency:

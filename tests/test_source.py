@@ -79,3 +79,27 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
                           cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == {"codes": [0, 0], "scipy": False}
+
+
+def test_no_program_path_uses_the_symbolic_lie_bracket():
+    # the Levi defect has one closed form; the symbolic frame fields and their
+    # bracket stay only as the reference the tests hold it to
+    reference = {"lie_bracket", "PolyVectorField", "tangent_frame_field"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            if getattr(top, "name", None) in reference:
+                continue  # the definitions themselves
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                    name = node.asname or node.name
+                else:
+                    continue
+                if name in reference:
+                    found.append(f"{path.name}:{getattr(node, 'lineno', top.lineno)} {name}")
+    assert not found, f"program code refers to the Lie-bracket reference: {found}"
