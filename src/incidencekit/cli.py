@@ -2,8 +2,10 @@
 
 Exit codes: 0 success/certified, 1 property violated, 2 input error,
 3 indeterminate/budget exhausted.  Input errors are this module's
-InputError and the library's ValueError, which rejects an input; a broken
-invariant is an InvariantError (a RuntimeError) and is not caught.
+InputError and the library's ValueError, which rejects an input; the
+loaders also report a zero denominator in an input file ("1/0") as an
+InputError.  A broken invariant is an InvariantError (a RuntimeError) and
+is not caught.
 
 All randomness flows from --seed (default 0, never entropy); every output
 file gets a sidecar manifest and reruns from a manifest reproduce outputs
@@ -103,7 +105,7 @@ def _load_config(path: str) -> Configuration:
     obj = _load_json(path)
     try:
         return Configuration.from_obj(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed configuration {path}: {exc}") from exc
 
 
@@ -268,7 +270,7 @@ def cmd_foliate(args) -> int:
                 int(k): [tuple(Fraction(c) for c in p) for p in v]
                 for k, v in cobj["samples"].items()
             }
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed hypersurface or curves: {exc!r}") from exc
     records = []
     any_fail = False

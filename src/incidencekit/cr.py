@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Sequence
 
 from .linalg import rank
@@ -66,20 +67,28 @@ def realify(curve: ComplexCurve | MultiPoly) -> RealPair:
     """Substitute z_k = x_k + i*y_k and split into real and imaginary parts.
 
     For every point p in C^2: f(p) = u(iota(p)) + i * v(iota(p)) exactly.
+    Each term c z1^a z2^b expands by the binomial theorem into
+    c C(a,k) C(b,l) i^(k+l) x1^(a-k) y1^k x2^(b-l) y2^l, and the exponent
+    (a-k, k, b-l, l) names its (a, b, k, l), so no two products share a
+    monomial: each is a coefficient of u or v as it stands.
     """
     f = curve.f if isinstance(curve, ComplexCurve) else curve
     if f.num_vars != 2:
         raise ValueError("expected a polynomial in (z1, z2)")
-    x1, y1, x2, y2 = (MultiPoly.variable(k, 4) for k in range(4))
-    i4 = MultiPoly.constant(I_UNIT, 4)
-    expanded = f.substitute([x1 + i4 * y1, x2 + i4 * y2])
     u_terms, v_terms = {}, {}
-    for exp, coef in expanded.terms.items():
-        c = GaussianRational.coerce(coef)
-        if c.re:
-            u_terms[exp] = c.re
-        if c.im:
-            v_terms[exp] = c.im
+    for (a, b), c in f.terms.items():
+        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+        # (Re, Im) of c * i^n for n = 0, 1, 2, 3
+        turns = ((re, im), (-im, re), (-re, -im), (im, -re))
+        for k in range(a + 1):
+            for l in range(b + 1):
+                binom = comb(a, k) * comb(b, l)
+                c_re, c_im = turns[(k + l) % 4]
+                exp = (a - k, k, b - l, l)
+                if c_re:
+                    u_terms[exp] = c_re * binom
+                if c_im:
+                    v_terms[exp] = c_im * binom
     return RealPair(MultiPoly(4, u_terms), MultiPoly(4, v_terms))
 
 

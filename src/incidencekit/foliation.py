@@ -13,12 +13,20 @@ point.  One closed form in grad P and Hess P, `_levi_defect`, gives the
 defect at a point (`bracket_defect`) and as a polynomial
 (`bracket_defect_polynomial`).  The symbolic fields and their Lie bracket
 are the reference the tests hold it to; no program path uses them.
+
+At a point every question is asked of integers.  Each rational vector
+(grad P(p), the frame of E_p, grad u and grad v, the Hessian values) is
+replaced by its primitive integer multiple (`_primitive`): orthogonality,
+rank, equal row spans and the widest pair do not change under positive
+scaling, and the defect is homogeneous of degree 4 in grad P and 1 in
+Hess P, so `bracket_defect` divides once, exactly, to return to Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .cr import (
@@ -82,6 +90,15 @@ class DistributionFrame:
     e_basis: tuple  # two vectors spanning E_p
 
 
+def _primitive(v: Sequence) -> tuple[tuple, int, int]:
+    """(w, a, b) with w = (a/b) v the primitive integer multiple of the
+    rational vector v and a, b > 0; the zero vector gives itself, a = b."""
+    a = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (a // x.denominator) for x in v]
+    b = gcd(*w) or a
+    return tuple(x // b for x in w), a, b
+
+
 def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     """Exact frame for E_p = kernel [grad P(p); J grad P(p)].
 
@@ -89,6 +106,12 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     ExceptionalPointError at points whose tangent plane contains an
     exceptional plane.
     """
+    return _frame(Z, p)[0]
+
+
+def _frame(Z: Hypersurface, p: Sequence) -> tuple[DistributionFrame, tuple, dict]:
+    """The frame at p, `_primitive(grad P(p))` and the monomial cache of p
+    for further evaluation at p."""
     p = tuple(Fraction(c) for c in p)
     cache: dict = {}
     if Z.P.evaluate(p, cache) != 0:
@@ -98,25 +121,28 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
         raise SingularPointError(f"gradient vanishes at {p}")
     if pi_containment(g) is not PiContainment.NONE:
         raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
-    jg = j_apply(g)
-    basis = kernel_basis([list(g), list(jg)])
+    scaled = _primitive(g)
+    G = scaled[0]
+    basis = kernel_basis([list(G), list(j_apply(G))])
     check_invariant(len(basis) == 2, "E_p must be two-dimensional")
-    frame = DistributionFrame(p, g, tuple(jg), tuple(tuple(v) for v in basis))
-    _check_frame_invariants(frame)
-    return frame
+    _check_frame_invariants(G, [_primitive(v)[0] for v in basis])
+    frame = DistributionFrame(p, g, j_apply(g), tuple(tuple(v) for v in basis))
+    return frame, scaled, cache
 
 
-def _check_frame_invariants(frame: DistributionFrame):
-    """Raises InvariantError if the frame breaks an exact identity."""
-    g, jg = frame.grad, frame.jgrad
+def _check_frame_invariants(g: Sequence[int], basis: list[tuple]):
+    """Raises InvariantError if the frame breaks an exact identity.  g and the
+    basis vectors are primitive integer multiples of grad P(p) and of the
+    frame of E_p: no check depends on a positive scale."""
+    jg = j_apply(g)
     check_invariant(sum(a * b for a, b in zip(g, jg)) == 0, "grad P must be orthogonal to J grad P")
-    for v in frame.e_basis:
+    for v in basis:
         check_invariant(sum(a * b for a, b in zip(v, g)) == 0, "E_p must be orthogonal to grad P")
         check_invariant(sum(a * b for a, b in zip(v, jg)) == 0,
                         "E_p must be orthogonal to J grad P")
-    check_invariant(rank(list(frame.e_basis)) == 2, "E_p must be two-dimensional")
-    jspan = [list(j_apply(v)) for v in frame.e_basis]
-    check_invariant(same_span(list(frame.e_basis), jspan), "E_p must be J-invariant")
+    check_invariant(rank(basis) == 2, "E_p must be two-dimensional")
+    jspan = [j_apply(v) for v in basis]
+    check_invariant(same_span(basis, jspan), "E_p must be J-invariant")
 
 
 @dataclass(frozen=True)
@@ -194,7 +220,7 @@ def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
     """Deterministic frame choice: the (i, j) maximizing the squared area of
     X_i(p) wedge X_j(p), ties broken lexicographically."""
     best = None
-    best_area = Fraction(-1)
+    best_area = -1
     for i in range(4):
         for j in range(i + 1, 4):
             area = _gram(values[i], values[j])
@@ -251,10 +277,14 @@ def bracket_defect(
     in E_p at p (the grad-P pairing vanishes automatically for fields
     tangent to level sets).  Name both frame indices, or neither for the
     widest pair at p.  Equals `bracket_defect_polynomial(Z, i, j)` at p.
+
+    It runs on G = c grad P(p) and K = e Hess P(p), integer and primitive
+    with c, e > 0.  X(G) = c^2 X(grad P(p)) keeps the pair choice, and the
+    defect L of (G, K) is c^4 e times the one at p, so raw = L / (c^4 e)
+    and normalized = raw / |grad P(p)|^6 = L c^2 / (e |G|^6).
     """
-    frame = distribution_frame(Z, p)
-    g = frame.grad
-    values = _frame_vectors(g)
+    frame, (G, cn, cd), cache = _frame(Z, p)
+    values = _frame_vectors(G)
     if i is None and j is None:
         i, j = _widest_pair(values, p)
     else:
@@ -262,10 +292,11 @@ def bracket_defect(
         if _gram(values[i], values[j]) == 0:
             raise FrameDegenerateError(f"frame pair ({i},{j}) degenerate at {p}; "
                                        "choose another pair")
-    cache: dict = {}
-    hess = {ab: d.evaluate(frame.base_point, cache) for ab, d in Z.hess.items()}
-    raw = _levi_defect(g, hess, values, i, j)
-    return BracketDefect(raw, raw / sum(c * c for c in g) ** 3, (i, j))
+    K, en, ed = _primitive([d.evaluate(frame.base_point, cache) for d in Z.hess.values()])
+    L = _levi_defect(G, dict(zip(Z.hess, K)), values, i, j)
+    raw = Fraction(L * cd**4 * ed, cn**4 * en)
+    n2 = sum(c * c for c in G)
+    return BracketDefect(raw, Fraction(L * cn * cn * ed, cd * cd * en * n2**3), (i, j))
 
 
 def bracket_defect_polynomial(Z: Hypersurface, i: int, j: int) -> MultiPoly:
@@ -290,28 +321,29 @@ def leaf_tangency_check(
 ) -> list[TangencyRecord]:
     """At each sample, verify exactly that the embedded curve's tangent plane
     kernel([grad u; grad v]) equals E_p, as equality of the row spaces of
-    [grad u; grad v] and [grad P(p); J grad P(p)]."""
+    [grad u; grad v] and [grad P(p); J grad P(p)], each row scaled to its
+    primitive integer multiple."""
     pair = realify(curve)
     du = [pair.u.partial(k) for k in range(4)]
     dv = [pair.v.partial(k) for k in range(4)]
     records = []
     for raw in samples:
         p = tuple(Fraction(c) for c in raw)
-        if pair.u.evaluate(p) != 0 or pair.v.evaluate(p) != 0:
+        cache: dict = {}
+        if pair.u.evaluate(p, cache) != 0 or pair.v.evaluate(p, cache) != 0:
             records.append(TangencyRecord(p, "skip", "point not on the curve"))
             continue
-        cache: dict = {}
-        gu = [d.evaluate(p, cache) for d in du]
-        gv = [d.evaluate(p, cache) for d in dv]
+        gu = _primitive([d.evaluate(p, cache) for d in du])[0]
+        gv = _primitive([d.evaluate(p, cache) for d in dv])[0]
         if rank([gu, gv]) != 2:
             records.append(TangencyRecord(p, "skip", "curve not regular at point"))
             continue
         try:
-            frame = distribution_frame(Z, p)
+            G = _frame(Z, p)[1][0]
         except ValueError as exc:  # singular or exceptional point: inapplicable
             records.append(TangencyRecord(p, "skip", str(exc)))
             continue
-        ok = same_span([gu, gv], [frame.grad, frame.jgrad])
+        ok = same_span([gu, gv], [G, j_apply(G)])
         records.append(
             TangencyRecord(p, "pass" if ok else "fail",
                            "" if ok else "tangent plane differs from E_p")

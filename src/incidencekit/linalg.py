@@ -8,11 +8,16 @@ operators (see `poly`).  Its pivot rule is deterministic (the first nonzero
 entry scanning down the column), so results are reproducible and
 independent of evaluation order.  `rank` and `det` read its result, and
 `rref`, with it kernels and spans, back-substitutes from its echelon form.
+On a matrix of Python ints the elimination stays in ints, as every Bareiss
+division is exact; `rank` keeps such a matrix as it is, while `rref`, the
+kernels and `det` take their entries as Fractions, so they never return a
+float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import floordiv, truediv
 from typing import Sequence
 
 from .poly import Coef, GaussianRational, MultiPoly
@@ -48,6 +53,7 @@ def _eliminate(m: list[list]) -> tuple[int, int, list[int]]:
             sign = -sign
         top = m[r]
         pivot = top[col]
+        divide = floordiv if type(pivot) is int else truediv
         pivots.append(col)
         r += 1
         if r == n_rows:
@@ -57,14 +63,17 @@ def _eliminate(m: list[list]) -> tuple[int, int, list[int]]:
             a = row[col]
             for j in range(col + 1, n_cols):
                 x = pivot * row[j] - a * top[j]
-                row[j] = x if prev is None else x / prev
+                row[j] = x if prev is None else divide(x, prev)
             row[col] = zero
         prev = pivot
     return r, sign, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank by fraction-free elimination."""
+    """Exact rank by fraction-free elimination, in ints when every entry is
+    an int."""
+    if all(type(x) is int for row in rows for x in row):
+        return _eliminate([list(row) for row in rows])[0]
     return _eliminate([[_as_entry(x) for x in row] for row in rows])[0]
 
 

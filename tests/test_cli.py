@@ -229,6 +229,9 @@ INPUT_ERRORS = {
     "random curves of degree 0": ["generate", "--family", "random", "--degree", 0],
     "leaf dividing by zero": ["generate", "--family", "leaf", "--g", "z1/0"],
     "samples not a mapping": ["foliate", "--hypersurface", "leaf.json", "--curves", "listed.json"],
+    "point coordinate 1/0": ["count", "g_zero_den.json"],
+    "hypersurface coefficient 1/0": ["foliate", "--hypersurface", "leaf_zero_den.json",
+                                     "--curves", "leaf.json"],
 }
 
 
@@ -243,6 +246,11 @@ class TestInputErrors:
         Path("zero.json").write_text(json.dumps({"vars": 4, "terms": []}))
         leaf = json.loads(Path("leaf.json").read_text())
         Path("listed.json").write_text(json.dumps({**leaf, "samples": [1]}))
+        grid = json.loads(Path("g.json").read_text())
+        grid["points"][0][1] = "1/0"
+        Path("g_zero_den.json").write_text(json.dumps(grid))
+        leaf["hypersurface"]["terms"][0]["coef"] = "1/0"
+        Path("leaf_zero_den.json").write_text(json.dumps(leaf))
         Path("noparams.manifest.json").write_text(json.dumps(
             {"command": "count", "inputs": [], "outputs": ["c.json"]}))
 

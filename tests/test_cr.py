@@ -111,6 +111,62 @@ class TestRealify:
                 )
 
 
+    def test_matches_the_substitution_oracle(self):
+        # seeded curves over Q and Q(i) of degree <= 5: Fraction, purely
+        # real, purely imaginary and general Gaussian coefficients, and
+        # products whose expansion cancels real or imaginary parts
+        rng = random.Random(515)
+        z1, z2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+        i2 = MultiPoly.constant(I_UNIT, 2)
+
+        def coef(kind):
+            re = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            im = Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+            return (re, GaussianRational(re), GaussianRational(0, im),
+                    GaussianRational(re, im))[kind]
+
+        curves = [(z1 + i2 * z2) ** 3 * (z1 - i2 * z2) ** 2, (z1 * z1 + z2 * z2) * (z1 - i2),
+                  z1 * z1 * (1 + i2) - z2 * (1 - i2), MultiPoly.constant(I_UNIT, 2)]
+        for field in ("Q", "Q(i)"):
+            for _ in range(60):
+                terms = {}
+                for _ in range(rng.randrange(1, 9)):
+                    e1 = rng.randrange(6)
+                    terms[e1, rng.randrange(6 - e1)] = coef(0 if field == "Q" else
+                                                            rng.randrange(4))
+                curves.append(MultiPoly(2, terms))
+        seen = set()
+        for f in curves:
+            if f.is_zero:
+                continue
+            got, want = realify(f), realify_by_substitution(f)
+            for part in ("u", "v"):
+                g, w = getattr(got, part).terms, getattr(want, part).terms
+                assert g == w, (f, part)
+                assert {e: type(c) for e, c in g.items()} == {
+                    e: type(c) for e, c in w.items()}
+            seen.add(f.is_gaussian)
+            seen.add(("real part", any(isinstance(c, GaussianRational) and c.re == 0
+                                       for c in f.terms.values())))
+        assert seen >= {True, False, ("real part", True)}
+
+
+def realify_by_substitution(f):
+    """u, v of f by substituting z_k = x_k + i y_k into f and splitting each
+    coefficient of the expansion: the definition, kept as the oracle."""
+    x1, y1, x2, y2 = (MultiPoly.variable(k, 4) for k in range(4))
+    i4 = MultiPoly.constant(I_UNIT, 4)
+    expanded = f.substitute([x1 + i4 * y1, x2 + i4 * y2])
+    u_terms, v_terms = {}, {}
+    for exp, coef in expanded.terms.items():
+        c = GaussianRational.coerce(coef)
+        if c.re:
+            u_terms[exp] = c.re
+        if c.im:
+            v_terms[exp] = c.im
+    return RealPair(MultiPoly(4, u_terms), MultiPoly(4, v_terms))
+
+
 class TestCauchyRiemann:
     def test_holomorphic_product(self):
         z1, z2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)

@@ -6,13 +6,24 @@ from fractions import Fraction
 import pytest
 
 from incidencekit import foliation
-from incidencekit.cr import ComplexCurve, PiContainment, SingularPointError, iota, j_apply
+from incidencekit.configurations import gen_leaf_family, rational_sphere_points
+from incidencekit.cr import (
+    ComplexCurve,
+    PiContainment,
+    SingularPointError,
+    iota,
+    iota_inv,
+    j_apply,
+    realify,
+)
 from incidencekit.foliation import (
     BracketDefect,
+    DistributionFrame,
     ExceptionalPointError,
     FrameDegenerateError,
     Hypersurface,
     PolyVectorField,
+    TangencyRecord,
     bracket_defect,
     bracket_defect_polynomial,
     containment_check,
@@ -23,7 +34,7 @@ from incidencekit.foliation import (
     lie_bracket,
     tangent_frame_field,
 )
-from incidencekit.linalg import in_span, rank, same_span
+from incidencekit.linalg import in_span, kernel_basis, rank, same_span
 from incidencekit.poly import GaussianRational, I_UNIT, InvariantError, MultiPoly
 
 X1, Y1, X2, Y2 = (MultiPoly.variable(i, 4) for i in range(4))
@@ -363,6 +374,176 @@ class TestBracketDefect:
         for i, j in ((None, None), (0, 1), (1, 1)):
             assert outcome(lambda: bracket_defect(Z, [0, 0, 0, 0], i, j)) == (
                 ExceptionalPointError, None)
+
+
+def fraction_frame(Z, p):
+    """distribution_frame in Fraction arithmetic, each check on the rational
+    vectors themselves: the oracle the integer path is held to."""
+    p = tuple(Fraction(c) for c in p)
+    if Z.P.evaluate(p) != 0:
+        raise ValueError(f"point {p} is not on the hypersurface")
+    g = tuple(Z.P.partial(k).evaluate(p) for k in range(4))
+    if all(c == 0 for c in g):
+        raise SingularPointError(f"gradient vanishes at {p}")
+    if foliation.pi_containment(g) is not PiContainment.NONE:
+        raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
+    jg = j_apply(g)
+    basis = [tuple(v) for v in kernel_basis([list(g), list(jg)])]
+    assert sum(a * b for a, b in zip(g, jg)) == 0
+    for v in basis:
+        assert sum(a * b for a, b in zip(v, g)) == 0 == sum(a * b for a, b in zip(v, jg))
+    assert rank(basis) == 2 and same_span(basis, [j_apply(v) for v in basis])
+    return DistributionFrame(p, g, jg, tuple(basis))
+
+
+def fraction_defect(Z, p, i=None, j=None):
+    """bracket_defect by the pointwise formulas in Fraction arithmetic: the
+    frame values X_k = |g|^2 e_k - g_k g - (Jg)_k Jg, the widest pair by
+    Gram determinant, and sum_k X_i[k] w_j[k] - X_j[k] w_i[k] with
+    w_a[k] = (Jg)_a (Hg)_k - g_a (H Jg)_k - |g|^2 (JH)_ak."""
+    frame = fraction_frame(Z, p)
+    g, jg = frame.grad, frame.jgrad
+    n2 = sum(c * c for c in g)
+    values = [[(n2 if l == k else 0) - g[k] * g[l] - jg[k] * jg[l] for l in range(4)]
+              for k in range(4)]
+
+    def gram(a, b):
+        ab = sum(x * y for x, y in zip(a, b))
+        return sum(x * x for x in a) * sum(y * y for y in b) - ab * ab
+
+    if i is None:
+        area, i, j = max((gram(values[a], values[b]), -a, -b)
+                         for a in range(4) for b in range(a + 1, 4))
+        i, j = -i, -j
+        if area == 0:
+            raise FrameDegenerateError(f"no independent frame pair at {p}")
+    elif gram(values[i], values[j]) == 0:
+        raise FrameDegenerateError(f"frame pair ({i},{j}) degenerate at {p}; "
+                                   "choose another pair")
+    H = [[Z.P.partial(a).partial(b).evaluate(frame.base_point) for b in range(4)]
+         for a in range(4)]
+    hg = [sum(h * c for h, c in zip(row, g)) for row in H]
+    hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
+    jh = [j_apply(row) for row in H]  # jh[k][a] = (JH)_ak, H being symmetric
+
+    def w(a):
+        return [jg[a] * hg[k] - g[a] * hjg[k] - n2 * jh[k][a] for k in range(4)]
+
+    wi, wj = w(i), w(j)
+    raw = sum(x * b - y * a for x, y, a, b in zip(values[i], values[j], wi, wj))
+    return BracketDefect(raw, raw / n2**3, (i, j))
+
+
+def fraction_tangency(Z, curve, samples):
+    """leaf_tangency_check with every rank and span test on rational vectors."""
+    pair = realify(curve)
+    records = []
+    for raw in samples:
+        p = tuple(Fraction(c) for c in raw)
+        if pair.u.evaluate(p) != 0 or pair.v.evaluate(p) != 0:
+            records.append(TangencyRecord(p, "skip", "point not on the curve"))
+            continue
+        gu = [pair.u.partial(k).evaluate(p) for k in range(4)]
+        gv = [pair.v.partial(k).evaluate(p) for k in range(4)]
+        if rank([gu, gv]) != 2:
+            records.append(TangencyRecord(p, "skip", "curve not regular at point"))
+            continue
+        try:
+            frame = fraction_frame(Z, p)
+        except ValueError as exc:
+            records.append(TangencyRecord(p, "skip", str(exc)))
+            continue
+        ok = same_span([gu, gv], [frame.grad, frame.jgrad])
+        records.append(TangencyRecord(p, "pass" if ok else "fail",
+                                      "" if ok else "tangent plane differs from E_p"))
+    return records
+
+
+def exact_outcome(call):
+    """The result with the type of every Fraction field, or the error's type
+    and message."""
+    try:
+        d = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(d, BracketDefect):
+        return type(d.raw), d.raw, type(d.normalized), d.normalized, d.indices
+    return d, [type(c) for c in d.grad + d.jgrad + sum(d.e_basis, ())]
+
+
+def tangent_line(Z, p):
+    """The complex line through iota^-1(p) whose tangent plane is E_p."""
+    e = fraction_frame(Z, p).e_basis[0]
+    w1, w2 = GaussianRational(p[0], p[1]), GaussianRational(p[2], p[3])
+    d1, d2 = GaussianRational(e[0], e[1]), GaussianRational(e[2], e[3])
+    z1, z2 = Z1, MultiPoly.variable(1, 2)
+    return ComplexCurve((z1 - MultiPoly.constant(w1, 2)) * d2 - (z2 - MultiPoly.constant(w2, 2)) * d1)
+
+
+class TestIntegerPathMatchesFractionOracle:
+    PAIRS = [(None, None)] + [(i, j) for i in range(4) for j in range(4) if i != j]
+
+    def cases(self):
+        """(Z, points, [(curve, samples)]): AC4's leaf families with a line
+        across their leaves, the sphere, and seeded P = Q - Q(p0) of degree
+        <= 4 with p0 of mixed denominators, its tangent line, a line across
+        it, and points off the curve or off Z."""
+        z1 = MultiPoly.variable(0, 1)
+        for g in (z1, z1**2, z1**3 + z1 * I_UNIT):
+            family = gen_leaf_family(g, count=3, seed=0, samples_per_leaf=4)
+            Z = family.hypersurface
+            points = [p for idx in range(3) for p in family.samples[idx]]
+            curves = [(curve, family.samples[idx]) for idx, curve in enumerate(family.curves)]
+            across = ComplexCurve(MultiPoly.variable(1, 2) - Z1 * 2)
+            cusp = ComplexCurve(MultiPoly.variable(1, 2) ** 2 - Z1**3)
+            curves += [(across, [iota((0, 0)), iota((1, 2)), iota((2, 4)), [1, 1, 1, 1]]),
+                       (cusp, [[0, 0, 0, 0]])]
+            yield Z, points + [iota((0, 0)), iota((1, 2))], curves
+        sphere = Hypersurface(X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - 1)
+        yield sphere, rational_sphere_points(20, seed=1), []
+        cone = Hypersurface(X1 * X1 + Y1 * Y1 - X2 * X2 - Y2 * Y2)
+        yield cone, [[0, 0, 0, 0], [1, 0, 1, 0]], [
+            (ComplexCurve(MultiPoly.variable(1, 2) - Z1), [[0, 0, 0, 0], [1, 0, 1, 0]])]
+        rng = random.Random(4096)
+        for _ in range(24):
+            Q = random_poly(rng, 4)
+            p0 = [Fraction(rng.randrange(-7, 8), rng.randrange(1, 7)) for _ in range(4)]
+            P = Q - Q.evaluate(p0)
+            if P.is_zero:
+                continue
+            Z = Hypersurface(P)
+            points = [p0, [c + Fraction(1, 3) for c in p0]]
+            curves = []
+            if isinstance(exact_outcome(lambda: fraction_frame(Z, p0))[0], DistributionFrame):
+                line = tangent_line(Z, p0)
+                w1, w2 = iota_inv(p0)
+                across = ComplexCurve(MultiPoly.variable(1, 2) - Z1 * 3
+                                      - MultiPoly.constant(w2 - w1 * 3, 2))
+                curves = [(line, [p0, [c + 1 for c in p0]]), (across, [p0])]
+            yield Z, points, curves
+
+    def test_defects_frames_and_tangency_match(self):
+        defects, statuses = set(), set()
+        for Z, points, curves in self.cases():
+            for p in points:
+                got = exact_outcome(lambda: distribution_frame(Z, p))
+                assert got == exact_outcome(lambda: fraction_frame(Z, p)), (Z.P, p)
+                for i, j in self.PAIRS:
+                    got = exact_outcome(lambda: bracket_defect(Z, p, i, j))
+                    want = exact_outcome(lambda: fraction_defect(Z, p, i, j))
+                    assert got == want, (Z.P, p, i, j)
+                    defects.add(got[0].__name__ if len(got) == 2 else bool(got[1]))
+            for curve, samples in curves:
+                got = leaf_tangency_check(Z, curve, samples)
+                assert got == fraction_tangency(Z, curve, samples), (Z.P, curve.f)
+                statuses.update((r.status, "off Z" if r.reason.endswith("hypersurface")
+                                 else r.reason.split(" at ")[0]) for r in got)
+        assert defects == {True, False, "ValueError", "SingularPointError",
+                           "FrameDegenerateError"}
+        assert statuses == {("pass", ""), ("fail", "tangent plane differs from E_p"),
+                            ("skip", "point not on the curve"),
+                            ("skip", "curve not regular"), ("skip", "gradient vanishes"),
+                            ("skip", "off Z")}
 
 
 def test_real_coefficients_written_in_q_i_act_as_rationals():

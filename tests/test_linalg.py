@@ -60,6 +60,64 @@ class TestRank:
         assert rank([[Fraction(0)] * 3]) == 0
 
 
+class TestIntegerPath:
+    """A matrix of ints is eliminated in ints; the answers do not change."""
+
+    @staticmethod
+    def int_matrix(rng, rows, cols):
+        target = rng.randrange(0, min(rows, cols) + 1)
+        a = [[rng.randrange(-9, 10) for _ in range(target)] for _ in range(rows)]
+        b = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(target)]
+        m = [[sum(a[i][k] * b[k][j] for k in range(target)) for j in range(cols)]
+             for i in range(rows)]
+        if cols > 1 and rng.random() < 0.3:
+            zero = rng.randrange(cols)
+            m = [[0 if j == zero else x for j, x in enumerate(row)] for row in m]
+        if rng.random() < 0.3:
+            m[0][0] = 0
+        return m
+
+    def test_rank_matches_fraction_rank(self):
+        rng = random.Random(1970)
+        ranks = set()
+        for _ in range(300):
+            m = self.int_matrix(rng, rng.randrange(1, 6), rng.randrange(1, 6))
+            r = rank(m)
+            assert r == rank([[Fraction(x) for x in row] for row in m]) == minor_rank(m), m
+            ranks.add((r == min(len(m), len(m[0])), m[0][0] == 0,
+                       any(not any(row[j] for row in m) for j in range(len(m[0])))))
+        # full and deficient rank, each with and without a zero leading
+        # entry and a zero column
+        assert len(ranks) == 8
+
+    def test_large_entries_stay_exact(self):
+        # Bareiss's divisions must be exact integer divisions: a float
+        # quotient of minors this large overflows
+        rng = random.Random(1969)
+        big = 10**160
+        for _ in range(5):
+            m = [[rng.randrange(-big, big) for _ in range(4)] for _ in range(3)]
+            m.append([2 * x + 3 * y - z for x, y, z in zip(*m)])
+            assert rank(m) == 3
+            m[3][3] += 1
+            assert rank(m) == 4
+
+    def test_rref_kernel_det_of_ints_are_fractions(self):
+        rng = random.Random(1971)
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            m = self.int_matrix(rng, n, n)
+            as_q = [[Fraction(x) for x in row] for row in m]
+            reduced, pivots = rref(m)
+            assert (reduced, pivots) == rref(as_q)
+            assert all(type(x) is Fraction for row in reduced for x in row)
+            basis = kernel_basis(m)
+            assert basis == kernel_basis(as_q)
+            assert all(type(x) is Fraction for v in basis for x in v)
+            d = det(m)
+            assert type(d) is Fraction and d == det(as_q)
+
+
 class TestKernel:
     def test_kernel_vectors_annihilated(self):
         rng = random.Random(21)
