@@ -1,5 +1,6 @@
 """Tangent distribution, Lie brackets, bracket defect, leaf diagnostics."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -685,3 +686,38 @@ class TestLeafSamples:
         P = Y2 - X1 * Y1 * 2  # Im(z2 - z1^2)
         for p in pts:
             assert P.evaluate(list(p)) == 0
+
+
+def curves_c2_inputs(seed):
+    """The curves-c2 benchmark's Levi-flat inputs for one seed: five leaves
+    with eight samples each of Im(z2 - g(z1)) for four g, and 60 points of
+    the unit sphere."""
+    z1 = MultiPoly.variable(0, 1)
+    for g in (z1, z1**2, z1**3 + z1 * I_UNIT, z1**4 - z1**2 * I_UNIT + 3):
+        family = gen_leaf_family(g, 5, seed, samples_per_leaf=8)
+        yield family.hypersurface, [(leaf, family.samples[idx])
+                                    for idx, leaf in enumerate(family.curves)]
+    sphere = Hypersurface(X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - 1)
+    yield sphere, [(None, rational_sphere_points(60, seed))]
+
+
+# sha256 of every bracket_defect outcome (default pair and all 12 ordered
+# pairs) and every leaf_tangency_check record on the curves-c2 inputs of
+# seeds 1-5, recorded when both still built E_p at each point
+CURVES_C2_DIGEST = "eb8364ba7a632d3b9c9885efe37f4089f595e1b52dffc4b2a558b109681efeda"
+
+
+def test_curves_c2_diagnostics_digest():
+    pairs = [(None, None)] + [(i, j) for i in range(4) for j in range(4) if i != j]
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        for Z, leaves in curves_c2_inputs(seed):
+            for curve, samples in leaves:
+                if curve is not None:
+                    for r in leaf_tangency_check(Z, curve, samples):
+                        h.update(f"{r.point} {r.status} {r.reason}\n".encode())
+                for p in samples:
+                    for i, j in pairs:
+                        got = exact_outcome(lambda: bracket_defect(Z, p, i, j))
+                        h.update(f"{p} {i} {j} {got}\n".encode())
+    assert h.hexdigest() == CURVES_C2_DIGEST
