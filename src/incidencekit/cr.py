@@ -16,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .linalg import rank
-from .poly import GaussianRational, I_UNIT, InvariantError, MultiPoly, gradient
+from .poly import GaussianRational, InvariantError, MultiPoly, gradient
 
 # Canonical bases of the two exceptional complex 2-planes in C^4.
 # PI1 = {a2 = -i a1, a4 = -i a3}; PI2 is its complex conjugate.
@@ -116,10 +116,15 @@ def j_apply(w: Sequence) -> tuple:
     return (-w[1], w[0], -w[3], w[2])
 
 
-def _exceptional_planes(a: Sequence[GaussianRational]) -> tuple[bool, bool]:
-    """(a in PI1, a in PI2): whether a2 = -lambda*a1 and a4 = -lambda*a3 for
-    lambda = i and for lambda = -i; the zero vector lies in both."""
-    return tuple(a[1] == -lam * a[0] and a[3] == -lam * a[2] for lam in (I_UNIT, -I_UNIT))
+def _exceptional_planes(a: Sequence) -> tuple[bool, bool]:
+    """(a in PI1, a in PI2) for rational or Gaussian rational entries: whether
+    a2 = -lambda*a1 and a4 = -lambda*a3 for lambda = i and for lambda = -i,
+    read from real and imaginary parts (a2 = -i*a1 iff re a2 = im a1 and
+    im a2 = -re a1); the zero vector lies in both."""
+    (r1, m1), (r2, m2), (r3, m3), (r4, m4) = (
+        (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0) for c in a)
+    return (r2 == m1 and m2 == -r1 and r4 == m3 and m4 == -r3,
+            r2 == -m1 and m2 == r1 and r4 == -m3 and m4 == r3)
 
 
 class CRClass(Enum):
@@ -179,7 +184,7 @@ def pi_containment(grad: Sequence) -> PiContainment:
     """Which exceptional planes the nonzero gradient grad annihilates, that
     is, which ones the tangent hyperplane it defines contains.  A plane is
     annihilated exactly by its own members, so this is plane membership."""
-    in1, in2 = _exceptional_planes([GaussianRational.coerce(c) for c in grad])
+    in1, in2 = _exceptional_planes(grad)
     if in1 == in2:
         return PiContainment.BOTH if in1 else PiContainment.NONE
     return PiContainment.PI1 if in1 else PiContainment.PI2

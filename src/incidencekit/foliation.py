@@ -1,23 +1,37 @@
 """Tangent distributions on real hypersurfaces in R^4 and the leaf diagnostics.
 
 At a smooth, non-exceptional point p of Z(P) the distribution E_p is the
-exact kernel of [grad P(p); J grad P(p)] -- a two-dimensional, J-invariant
-subspace of the tangent space.  Polynomial frame fields spanning E away
-from a degeneracy locus let us measure involutivity as an exact rational
-"bracket defect".  An embedded complex curve u + iv = 0 is tangent to E at
-p when [grad u; grad v] and [grad P(p); J grad P(p)] have the same row space
-(both have rank 2 there, so their kernels then agree).
+exact kernel of [grad P(p); J grad P(p)] -- the complex tangent line, a
+two-dimensional, J-invariant subspace of the tangent space
+(`distribution_frame`).  An embedded complex curve u + iv = 0 is tangent to
+E at p when [grad u; grad v] and [grad P(p); J grad P(p)] have the same row
+space (both have rank 2 there, so their kernels then agree).
 
-`Hypersurface` builds grad P and Hess P once; nothing differentiates P per
-point.  One closed form in grad P and Hess P, `_levi_defect`, gives the
+E_p has one complex dimension, so the Levi form of Z(P) is one number at
+each point.  With g = grad P, H = Hess P and Kg = (g3, -g4, -g1, g2), which
+spans E together with JKg, it is
+
+    lambda = (Kg)^T H (Kg) + (JKg)^T H (JKg)          (`_levi_scalar`),
+
+of degree 2 in g and 1 in H.  The polynomial frame fields
+X_i = |g|^2 e_i - g_i g - (Jg)_i Jg span E away from a degeneracy locus, and
+the bracket defect <[X_i, X_j], J grad P> of a pair is q_ij lambda, with
+q_ij = <X_i, J X_j> / |g|^2 read from one table (`_pair_table`):
+
+    q_01 = -(g3^2 + g4^2),   q_23 = -(g1^2 + g2^2),
+    q_03 = -q_12 = g1 g3 + g2 g4,   q_02 = q_13 = g2 g3 - g1 g4,   q_ji = -q_ij.
+
+A pair is degenerate iff q_ij = 0, and the default pair is the first, in
+lexicographic order, with the largest q_ij^2.  The same two pieces give the
 defect at a point (`bracket_defect`) and as a polynomial
-(`bracket_defect_polynomial`).  The symbolic fields and their Lie bracket
-are the reference the tests hold it to; no program path uses them.
+(`bracket_defect_polynomial`) from grad P and Hess P, which `Hypersurface`
+builds once.  Neither the defect nor leaf tangency builds E_p; the symbolic
+fields and their Lie bracket are the reference the tests hold them to.
 
 At a point every question is asked of integers.  Each rational vector
 (grad P(p), the frame of E_p, grad u and grad v, the Hessian values) is
 replaced by its primitive integer multiple (`_primitive`): orthogonality,
-rank, equal row spans and the widest pair do not change under positive
+rank, equal row spans and the pair choice do not change under positive
 scaling, and the defect is homogeneous of degree 4 in grad P and 1 in
 Hess P, so `bracket_defect` divides once, exactly, to return to Q.
 """
@@ -106,14 +120,18 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     ExceptionalPointError at points whose tangent plane contains an
     exceptional plane.
     """
-    return _frame(Z, p)[0]
-
-
-def _frame(Z: Hypersurface, p: Sequence) -> tuple[DistributionFrame, tuple, dict]:
-    """The frame at p, `_primitive(grad P(p))` and the monomial cache of p
-    for further evaluation at p."""
     p = tuple(Fraction(c) for c in p)
-    cache: dict = {}
+    g, (G, _, _) = _smooth_gradient(Z, p, {})
+    basis = kernel_basis([list(G), list(j_apply(G))])
+    check_invariant(len(basis) == 2, "E_p must be two-dimensional")
+    _check_frame_invariants(G, [_primitive(v)[0] for v in basis])
+    return DistributionFrame(p, g, j_apply(g), tuple(tuple(v) for v in basis))
+
+
+def _smooth_gradient(Z: Hypersurface, p: tuple, cache: dict) -> tuple[tuple, tuple]:
+    """grad P(p) and its `_primitive` form, once p (Fractions, with monomial
+    cache `cache`) is known to be a point of Z(P) where grad P is nonzero
+    and the tangent plane contains no exceptional plane."""
     if Z.P.evaluate(p, cache) != 0:
         raise ValueError(f"point {p} is not on the hypersurface")
     g = tuple(d.evaluate(p, cache) for d in Z.grad)
@@ -121,13 +139,7 @@ def _frame(Z: Hypersurface, p: Sequence) -> tuple[DistributionFrame, tuple, dict
         raise SingularPointError(f"gradient vanishes at {p}")
     if pi_containment(g) is not PiContainment.NONE:
         raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
-    scaled = _primitive(g)
-    G = scaled[0]
-    basis = kernel_basis([list(G), list(j_apply(G))])
-    check_invariant(len(basis) == 2, "E_p must be two-dimensional")
-    _check_frame_invariants(G, [_primitive(v)[0] for v in basis])
-    frame = DistributionFrame(p, g, j_apply(g), tuple(tuple(v) for v in basis))
-    return frame, scaled, cache
+    return g, _primitive(g)
 
 
 def _check_frame_invariants(g: Sequence[int], basis: list[tuple]):
@@ -199,39 +211,6 @@ def tangent_frame_field(Z: Hypersurface, i: int) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-def _frame_vectors(g: Sequence) -> list[tuple]:
-    """X_0, ..., X_3 from g = grad P, at a point or as polynomials:
-    X_i = |g|^2 e_i - g_i g - (Jg)_i Jg."""
-    jg = j_apply(g)
-    n2 = sum(c * c for c in g)
-    return [
-        tuple((n2 if l == i else 0) - g[i] * g[l] - jg[i] * jg[l] for l in range(4))
-        for i in range(4)
-    ]
-
-
-def _gram(a: Sequence, b: Sequence):
-    """|a|^2 |b|^2 - <a, b>^2, the squared area of a wedge b: zero iff a, b are dependent."""
-    ab = sum(x * y for x, y in zip(a, b))
-    return sum(x * x for x in a) * sum(y * y for y in b) - ab * ab
-
-
-def _widest_pair(values: list[tuple], p: Sequence) -> tuple[int, int]:
-    """Deterministic frame choice: the (i, j) maximizing the squared area of
-    X_i(p) wedge X_j(p), ties broken lexicographically."""
-    best = None
-    best_area = -1
-    for i in range(4):
-        for j in range(i + 1, 4):
-            area = _gram(values[i], values[j])
-            if area > best_area:
-                best_area = area
-                best = (i, j)
-    if best_area == 0:
-        raise FrameDegenerateError(f"no independent frame pair at {p}")
-    return best
-
-
 def _check_pair(i, j):
     """The frame-pair rule: two distinct coordinate indices in 0..3."""
     if i is None or j is None:
@@ -242,25 +221,28 @@ def _check_pair(i, j):
         raise ValueError("coordinate index out of range")
 
 
-def _levi_defect(g: Sequence, hess: dict, values: Sequence, i: int, j: int):
-    """<[X_i, X_j], J grad P> from g = grad P, the Hessian table `hess` and the
-    frame values X_0..X_3, over any commutative ring: rationals at a point, or
-    the polynomials themselves.  With w_a[k] = <d_k X_a, Jg>, the pairing is
-    sum_k X_i[k] w_j[k] - X_j[k] w_i[k], and differentiating
-    X_a = |g|^2 e_a - g_a g - (Jg)_a Jg gives, using the polynomial identities
-    <g, Jg> = 0 and |Jg| = |g|, w_a[k] = (Jg)_a (Hg)_k - g_a (H Jg)_k - |g|^2 (JH)_ak."""
-    jg = j_apply(g)
-    H = [[hess[min(a, b), max(a, b)] for b in range(4)] for a in range(4)]
-    hg = [sum(h * c for h, c in zip(row, g)) for row in H]
-    hjg = [sum(h * c for h, c in zip(row, jg)) for row in H]
-    jh_cols = [j_apply(row) for row in H]  # column k of J H, as H is symmetric
-    n2 = sum(c * c for c in g)
+def _pair_table(g: Sequence) -> dict:
+    """q_ij = <X_i, J X_j> / |g|^2 for the frame X_i = |g|^2 e_i - g_i g - (Jg)_i Jg
+    of g = grad P, for all 12 ordered pairs, the pairs i < j first and in
+    lexicographic order, over any commutative ring.  The squared area of
+    X_i wedge X_j is (|g|^2 q_ij)^2, so a pair is degenerate iff q_ij = 0, and
+    q_01 + q_23 = -|g|^2 leaves some pair independent wherever g != 0."""
+    g1, g2, g3, g4 = g
+    s, t = g1 * g3 + g2 * g4, g2 * g3 - g1 * g4
+    q = {(0, 1): -(g3 * g3 + g4 * g4), (0, 2): t, (0, 3): s,
+         (1, 2): -s, (1, 3): t, (2, 3): -(g1 * g1 + g2 * g2)}
+    q.update({(j, i): -v for (i, j), v in list(q.items())})
+    return q
 
-    def w(a):
-        return [jg[a] * hg[k] - g[a] * hjg[k] - n2 * jh_cols[k][a] for k in range(4)]
 
-    wi, wj = w(i), w(j)
-    return sum(x * b - y * a for x, y, a, b in zip(values[i], values[j], wi, wj))
+def _levi_scalar(g: Sequence, hess: dict):
+    """lambda = (Kg)^T H (Kg) + (JKg)^T H (JKg), Kg = (g3, -g4, -g1, g2), for
+    g = grad P and the Hessian table `hess` (keys (a, b) with a <= b), over
+    any commutative ring.  Expanded, its coefficients are entries of the
+    q table of g."""
+    q, h = _pair_table(g), hess
+    return (2 * (q[0, 2] * (h[0, 3] - h[1, 2]) - q[0, 3] * (h[0, 2] + h[1, 3]))
+            - q[0, 1] * (h[0, 0] + h[1, 1]) - q[2, 3] * (h[2, 2] + h[3, 3]))
 
 
 @dataclass(frozen=True)
@@ -279,31 +261,33 @@ def bracket_defect(
     widest pair at p.  Equals `bracket_defect_polynomial(Z, i, j)` at p.
 
     It runs on G = c grad P(p) and K = e Hess P(p), integer and primitive
-    with c, e > 0.  X(G) = c^2 X(grad P(p)) keeps the pair choice, and the
-    defect L of (G, K) is c^4 e times the one at p, so raw = L / (c^4 e)
-    and normalized = raw / |grad P(p)|^6 = L c^2 / (e |G|^6).
+    with c, e > 0.  q(G) = c^2 q(grad P(p)) keeps the pair choice, and the
+    defect L = q_ij(G) lambda(G, K) is c^4 e times the one at p, so
+    raw = L / (c^4 e) and normalized = raw / |grad P(p)|^6 = L c^2 / (e |G|^6).
     """
-    frame, (G, cn, cd), cache = _frame(Z, p)
-    values = _frame_vectors(G)
+    point = tuple(Fraction(c) for c in p)
+    cache: dict = {}
+    _, (G, cn, cd) = _smooth_gradient(Z, point, cache)
+    q = _pair_table(G)
     if i is None and j is None:
-        i, j = _widest_pair(values, p)
+        i, j = max(list(q)[:6], key=lambda ij: q[ij] ** 2)
     else:
         _check_pair(i, j)
-        if _gram(values[i], values[j]) == 0:
+        if q[i, j] == 0:
             raise FrameDegenerateError(f"frame pair ({i},{j}) degenerate at {p}; "
                                        "choose another pair")
-    K, en, ed = _primitive([d.evaluate(frame.base_point, cache) for d in Z.hess.values()])
-    L = _levi_defect(G, dict(zip(Z.hess, K)), values, i, j)
+    K, en, ed = _primitive([d.evaluate(point, cache) for d in Z.hess.values()])
+    L = q[i, j] * _levi_scalar(G, dict(zip(Z.hess, K)))
     raw = Fraction(L * cd**4 * ed, cn**4 * en)
     n2 = sum(c * c for c in G)
     return BracketDefect(raw, Fraction(L * cn * cn * ed, cd * cd * en * n2**3), (i, j))
 
 
 def bracket_defect_polynomial(Z: Hypersurface, i: int, j: int) -> MultiPoly:
-    """The defect as a polynomial <[X_i,X_j], J grad P>; on Levi-flat
-    hypersurfaces its restriction to Z(P) vanishes (divisible by P)."""
+    """The defect as a polynomial <[X_i,X_j], J grad P> = q_ij lambda; on
+    Levi-flat hypersurfaces its restriction to Z(P) vanishes (divisible by P)."""
     _check_pair(i, j)
-    return _levi_defect(Z.grad, Z.hess, _frame_vectors(Z.grad), i, j)
+    return _pair_table(Z.grad)[i, j] * _levi_scalar(Z.grad, Z.hess)
 
 
 # -- leaf tangency and containment -------------------------------------------
@@ -339,7 +323,7 @@ def leaf_tangency_check(
             records.append(TangencyRecord(p, "skip", "curve not regular at point"))
             continue
         try:
-            G = _frame(Z, p)[1][0]
+            G = _smooth_gradient(Z, p, cache)[1][0]
         except ValueError as exc:  # singular or exceptional point: inapplicable
             records.append(TangencyRecord(p, "skip", str(exc)))
             continue

@@ -492,13 +492,15 @@ class MultiPoly:
     def normalized(self) -> "MultiPoly":
         """Scalar-canonical form: content cleared, leading coefficient made 1
         (Gaussian case) or positive with coprime integer coefficients
-        (rational case).  Used for curve deduplication and hashing; plain
-        arithmetic never normalizes."""
+        (rational case, also for a Gaussian multiple of a rational
+        polynomial, whose monic form is rational).  Used for curve
+        deduplication and hashing; plain arithmetic never normalizes."""
         if self.is_zero:
             return self
         if self.is_gaussian:
             lead = GaussianRational.coerce(self.leading_coef())
-            return self * (GaussianRational(1) / lead)
+            monic = self * (GaussianRational(1) / lead)
+            return monic if monic.is_gaussian else monic.normalized()
         fracs = {e: Fraction(c.re) if isinstance(c, GaussianRational) else c
                  for e, c in self.terms.items()}
         scale = Fraction(

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from incidencekit.cr import (
     CRClass,
+    _exceptional_planes,
     ComplexCurve,
     PI1_BASIS,
     PI2_BASIS,
@@ -282,6 +283,49 @@ class TestPlanes:
         for v in PI1_BASIS:
             assert v[1] == -I_UNIT * v[0]
             assert v[3] == -I_UNIT * v[2]
+
+
+def product_planes(a):
+    """(a in PI1, a in PI2) by the Gaussian products a2 = -lambda a1 and
+    a4 = -lambda a3 for lambda = i, -i: the formula the parts test replaces."""
+    a = [GaussianRational.coerce(c) for c in a]
+    return tuple(a[1] == -lam * a[0] and a[3] == -lam * a[2] for lam in (I_UNIT, -I_UNIT))
+
+
+def test_planes_from_parts_match_the_product_formula():
+    # seeded real vectors (ints, Fractions, Gaussian rationals with zero
+    # imaginary part), Gaussian vectors, members of each plane with and
+    # without one part moved off it, and zero in every representation
+    rng = random.Random(91)
+
+    def real():
+        n, d = rng.randrange(-3, 4), rng.randrange(1, 4)
+        return rng.choice([n, Fraction(n, d), GaussianRational(Fraction(n, d))])
+
+    def gaussian():
+        return rng.choice([real(), gauss(rng.randrange(-3, 4), rng.randrange(1, 3),
+                                         rng.randrange(-3, 4), rng.randrange(1, 3))])
+
+    vectors = [(0, 0, 0, 0), (Fraction(0),) * 4, (GaussianRational(0),) * 4]
+    for n in range(1200):
+        if n % 3 == 0:
+            vectors.append(tuple(real() for _ in range(4)))
+        elif n % 3 == 1:
+            vectors.append(tuple(gaussian() for _ in range(4)))
+        else:
+            lam = rng.choice([I_UNIT, -I_UNIT])
+            a1, a3 = gaussian(), gaussian()
+            v = [a1, -lam * a1, a3, -lam * a3]
+            if rng.randrange(3) == 0:
+                k = rng.randrange(4)
+                v[k] = GaussianRational.coerce(v[k]) + rng.choice([1, I_UNIT])
+            vectors.append(tuple(v))
+    seen = set()
+    for v in vectors:
+        want = product_planes(v)
+        assert _exceptional_planes(v) == want, v
+        seen.add(want)
+    assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
 
 class TestTangentContainsPi:

@@ -377,6 +377,52 @@ class TestBracketDefect:
                 ExceptionalPointError, None)
 
 
+def realified(A):
+    """The real 4 x 4 matrix of the complex-linear map z -> A z of C^2 on
+    (x1, y1, x2, y2): each entry a + bi becomes the block [[a, -b], [b, a]]."""
+    rows = []
+    for row in A:
+        rows.append([c for a in row for c in (a.re, -a.im)])
+        rows.append([c for a in row for c in (a.im, a.re)])
+    return rows
+
+
+def test_levi_scalar_is_covariant_under_complex_linear_maps():
+    # lambda of P o A is |det A|^2 times lambda of P, moved by A: the Levi
+    # form is the bordered complex Hessian, whose determinant picks up
+    # det A * conj(det A) when z = A w; on seeded P of degree <= 3 and seeded
+    # A over Q(i) with mixed denominators
+    rng = random.Random(1313)
+
+    def entry():
+        return GaussianRational(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)),
+                                Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+
+    cases = [X1 * X1 + Y1 * Y1 + X2 * X2 + Y2 * Y2 - 1, X1 * Y2 - Y1 * X2 + Y1**3]
+    cases += [random_poly(rng, 3) for _ in range(8)]
+    nonzero = 0
+    for P in cases:
+        if P.is_zero:
+            continue
+        while True:
+            A = [[entry(), entry()], [entry(), entry()]]
+            det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+            if det:
+                break
+        AR = realified(A)
+        for v in ([1, 0, 0, 0], [0, 0, 1, 0], [1, 2, -3, 5]):  # A_R J = J A_R
+            assert j_apply([sum(r * c for r, c in zip(row, v)) for row in AR]) == tuple(
+                sum(r * c for r, c in zip(row, j_apply(v))) for row in AR)
+        moved = [sum((MultiPoly.variable(k, 4) * c for k, c in enumerate(row)),
+                     MultiPoly.zero(4)) for row in AR]
+        Z, Z_moved = Hypersurface(P), Hypersurface(P.substitute(moved))
+        lam = foliation._levi_scalar(Z.grad, Z.hess)
+        lam_moved = foliation._levi_scalar(Z_moved.grad, Z_moved.hess)
+        assert lam_moved == lam.substitute(moved) * (det * det.conjugate()).re, (P, A)
+        nonzero += not lam.is_zero
+    assert nonzero >= 6
+
+
 def fraction_frame(Z, p):
     """distribution_frame in Fraction arithmetic, each check on the rational
     vectors themselves: the oracle the integer path is held to."""
@@ -629,13 +675,13 @@ class TestLeafTangency:
 
     def test_broken_frame_invariant_raises(self, monkeypatch):
         # a wrong kernel, span{e1, e3}, is neither orthogonal to grad P nor
-        # J-invariant; the broken invariant must surface, not become a "skip"
+        # J-invariant; the broken invariant must surface, not a frame.  Leaf
+        # tangency reads grad P(p) alone, so the check lives in the frame
         Z = Hypersurface(Y2 - Y1)
-        curve = ComplexCurve(MultiPoly.variable(1, 2) - Z1)
         e1, e3 = [Fraction(1), 0, 0, 0], [0, 0, Fraction(1), 0]
         monkeypatch.setattr(foliation, "kernel_basis", lambda rows: [e1, e3])
         with pytest.raises(InvariantError):
-            leaf_tangency_check(Z, curve, [[1, 2, 1, 2]])
+            distribution_frame(Z, [1, 2, 1, 2])
 
 
 class TestContainment:

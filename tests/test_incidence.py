@@ -91,6 +91,22 @@ class TestBuildMatrix:
         )
         assert config.m == 1 and config.n == 1
 
+    def test_dedup_of_a_gaussian_multiple(self):
+        # i (2 z1 + z2 + 1) is the same curve as 2 z1 + z2 + 1: both points lie
+        # on it, and it counts once
+        f = Z1 * 2 + Z2 + 1
+        points = [(GaussianRational(0), GaussianRational(-1)),
+                  (GaussianRational(1), GaussianRational(-3))]
+        config = Configuration.build("C2", points, [f, f * I_UNIT])
+        assert config.n == 1 and build_matrix(config).count == 2
+        for c in (I_UNIT, GaussianRational(3, -4), GaussianRational(Fraction(-1, 2), 7)):
+            assert (f * c).normalized() == f.normalized()
+            assert all(type(k) is Fraction for k in (f * c).normalized().terms.values())
+        # a curve with no real multiple keeps its monic form
+        h = Z2 - Z1 * I_UNIT + 1
+        assert (h * GaussianRational(2, 1)).normalized() == h.normalized()
+        assert h.normalized().is_gaussian
+
 
 P = FILTER_PRIME
 W = GaussianRational(Fraction(1, 2), Fraction(1, 3))

@@ -81,25 +81,42 @@ print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
     assert loaded == {"codes": [0, 0], "scipy": False}
 
 
-def test_no_program_path_uses_the_symbolic_lie_bracket():
-    # the Levi defect has one closed form; the symbolic frame fields and their
-    # bracket stay only as the reference the tests hold it to
-    reference = {"lie_bracket", "PolyVectorField", "tangent_frame_field"}
+def references_outside(reference: set, allowed: set = frozenset()) -> list[str]:
+    """Where program code refers to a name in `reference`, outside the
+    top-level definitions of those names and of `allowed`.  A module may
+    import such a name only for the allowed code it holds, and the package's
+    re-exports are not uses."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        may_import = any(getattr(top, "name", None) in allowed for top in tree.body)
         for top in tree.body:
-            if getattr(top, "name", None) in reference:
-                continue  # the definitions themselves
+            if getattr(top, "name", None) in reference | allowed:
+                continue
             for node in ast.walk(top):
                 if isinstance(node, ast.Name):
                     name = node.id
                 elif isinstance(node, ast.Attribute):
                     name = node.attr
-                elif isinstance(node, ast.alias) and path.name != "__init__.py":
+                elif (isinstance(node, ast.alias) and path.name != "__init__.py"
+                      and not may_import):
                     name = node.asname or node.name
                 else:
                     continue
                 if name in reference:
                     found.append(f"{path.name}:{getattr(node, 'lineno', top.lineno)} {name}")
+    return found
+
+
+def test_no_program_path_uses_the_symbolic_lie_bracket():
+    # the Levi defect has one closed form; the symbolic frame fields and their
+    # bracket stay only as the reference the tests hold it to
+    found = references_outside({"lie_bracket", "PolyVectorField", "tangent_frame_field"})
     assert not found, f"program code refers to the Lie-bracket reference: {found}"
+
+
+def test_only_distribution_frame_builds_e_p():
+    # E_p is built only for the frame distribution_frame returns; the defect
+    # and leaf tangency read grad P(p) alone, so no per-sample path builds it
+    found = references_outside({"kernel_basis"}, {"distribution_frame"})
+    assert not found, f"program code outside distribution_frame builds E_p: {found}"
