@@ -30,7 +30,8 @@ fields and their Lie bracket are the reference the tests hold them to.
 
 At a point every question is asked of integers.  Each rational vector
 (grad P(p), the frame of E_p, grad u and grad v, the Hessian values) is
-replaced by its primitive integer multiple (`_primitive`): orthogonality,
+replaced by its primitive integer multiple (`poly._primitive`, which clears
+denominators with `poly._integer_form` and then the content): orthogonality,
 rank, equal row spans and the pair choice do not change under positive
 scaling, and the defect is homogeneous of degree 4 in grad P and 1 in
 Hess P, so `bracket_defect` divides once, exactly, to return to Q.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .cr import (
@@ -53,7 +53,7 @@ from .cr import (
     realify,
 )
 from .linalg import kernel_basis, rank, same_span
-from .poly import GaussianRational, MultiPoly, check_invariant
+from .poly import GaussianRational, MultiPoly, _primitive, check_invariant
 
 
 class ExceptionalPointError(ValueError):
@@ -102,15 +102,6 @@ class DistributionFrame:
     grad: tuple
     jgrad: tuple
     e_basis: tuple  # two vectors spanning E_p
-
-
-def _primitive(v: Sequence) -> tuple[tuple, int, int]:
-    """(w, a, b) with w = (a/b) v the primitive integer multiple of the
-    rational vector v and a, b > 0; the zero vector gives itself, a = b."""
-    a = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (a // x.denominator) for x in v]
-    b = gcd(*w) or a
-    return tuple(x // b for x in w), a, b
 
 
 def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:

@@ -17,7 +17,9 @@ line of hyperplanes (_best_pencil_t): the offset scan moves the constant
 term, the polish each coefficient in turn.  The recount then takes each
 bisector's sign at every point from the integer dot product of its scaled
 coefficients with the point's row; those signs split the classes and are the
-sign assignment.
+sign assignment.  The rows come from `poly._integer_form`, the package's
+one denominator clearing (with `poly._primitive`, which also divides out
+the content).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _integer_form
 from .roots import (
     _halve,
     _sign,
@@ -155,14 +157,6 @@ def _check_dimension(points, dim):
         raise ValueError("all points must share a dimension")
 
 
-def _integer_form(vectors):
-    """Integer numerators of rational vectors over their common denominator."""
-    den = math.lcm(*(x.denominator for v in vectors for x in v))
-    return den, [
-        [x.numerator * (den // x.denominator) for x in v] for v in vectors
-    ]
-
-
 def _integer_values(rows, coeffs):
     """Values of the hyperplane (c0, c1..cD) at the integer rows D*(1, p) of
     a cut, in integers: returns (S, values) with values[k][i] equal to S*D
@@ -190,18 +184,17 @@ def _counts(values):
     return out
 
 
-def _strict_ok(counts):
-    return all(
-        max(neg, pos) <= (neg + zero + pos + 1) // 2 for neg, zero, pos in counts
-    )
+def _imbalance(counts, targets):
+    """(total overflow, largest overflow, points on the cut) of per-set
+    (neg, zero, pos) counts against the targets ceil(n/2).  A cut is strict
+    iff the total is 0.  Only one side of a set can overflow, since
+    neg + pos <= n <= 2 * target."""
+    overs = [max(neg - t, 0) + max(pos - t, 0) for (neg, _, pos), t in zip(counts, targets)]
+    return sum(overs), max(overs, default=0), sum(zero for _, zero, _ in counts)
 
 
-def _delta_ok(counts, delta):
-    for neg, zero, pos in counts:
-        n = neg + zero + pos
-        if max(neg, pos) > -(-n // 2) * (1 + delta):
-            return False
-    return True
+def _delta_ok(counts, targets, delta):
+    return not any(max(neg, pos) > t * (1 + delta) for (neg, _, pos), t in zip(counts, targets))
 
 
 def _snap(x: float) -> Fraction:
@@ -377,22 +370,9 @@ def _pencil_polish(rows, coeffs, targets):
     (_integer_values).  Positive scalings leave every sign, and so every
     flip point, unchanged."""
     dim = len(coeffs) - 1
-
-    def key_of(counts):
-        total_over = 0
-        max_over = 0
-        zeros = 0
-        for (neg, zero, pos), tgt in zip(counts, targets):
-            zeros += zero
-            over = max(neg - tgt, 0) + max(pos - tgt, 0)
-            total_over += over
-            if over > max_over:
-                max_over = over
-        return (total_over, max_over, zeros)
-
     scale, avals = _integer_values(rows, coeffs)
     counts = _counts(avals)
-    current = key_of(counts)
+    current = _imbalance(counts, targets)
     # axis directions are cheap and usually enough; pairwise combinations
     # only run when a full axis round stalls, to escape plateaus where no
     # single-coefficient move helps
@@ -430,15 +410,15 @@ def _pencil_polish(rows, coeffs, targets):
             coeffs = trial
             scale, avals = _integer_values(rows, coeffs)
             counts = _counts(avals)
-            current = key_of(counts)
+            current = _imbalance(counts, targets)
             improved = True
-            if _strict_ok(counts):
+            if current[0] == 0:
                 return improved
         return improved
 
     rounds = 0
     for _ in range(8):
-        if _strict_ok(counts):
+        if current[0] == 0:
             break
         rounds += 1
         if sweep_round(axis):
@@ -535,23 +515,24 @@ def ham_sandwich_bisect(
         coeffs = [_best_offset(avals, scale * den, targets)] + normal
         sweeps += 1
         counts = _counts(_integer_values(rows, coeffs)[1])
-        if not _strict_ok(counts):
+        if _imbalance(counts, targets)[0]:
             coeffs, counts, polish_rounds, polish_sweeps = _pencil_polish(
                 rows, coeffs, targets
             )
             rounds += polish_rounds
             sweeps += polish_sweeps
 
+        total_over, max_over, _ = _imbalance(counts, targets)
         result = CutResult(
             tuple(coeffs),
             counts,
-            _strict_ok(counts),
-            _delta_ok(counts, delta),
+            total_over == 0,
+            _delta_ok(counts, targets, delta),
             attempt + 1,
         )
         if result.strict_ok:
             return spent(result, attempt + 1)
-        if best is None or _badness(result, targets) < _badness(best, targets):
+        if best is None or max_over < _imbalance(best.counts, targets)[1]:
             best = result
         # give strict balance a fair shot, then settle for the tolerance
         if best.delta_ok and attempt + 1 >= min(60, restarts):
@@ -563,12 +544,6 @@ def ham_sandwich_bisect(
             return best
     raise BudgetExhaustedError(
         f"no cut met the imbalance tolerance after {restarts} restarts", best
-    )
-
-
-def _badness(result: CutResult, targets):
-    return max(
-        max(neg, pos) - t for (neg, zero, pos), t in zip(result.counts, targets)
     )
 
 
@@ -771,10 +746,11 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
         raise ValueError("expected a planar line (degree-1 polynomial in x, y)")
     if result.dim != 2:
         raise ValueError("partition is not planar")
-    a = line.terms.get((1, 0), Fraction(0))
-    b = line.terms.get((0, 1), Fraction(0))
-    c = line.terms.get((0, 0), Fraction(0))
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    if line.is_gaussian:
+        raise ValueError("expected a real line (rational coefficients)")
+    a, b, c = (line.terms.get(e, Fraction(0)) for e in ((1, 0), (0, 1), (0, 0)))
+    # real coefficients may be written as GaussianRationals: read their real parts
+    a, b, c = (getattr(k, "re", k) for k in (a, b, c))
     if b != 0:
         p0 = (Fraction(0), -c / b)
     else:

@@ -162,15 +162,29 @@ def _coerce_scalar(value) -> Coef:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-def _integer_parts(values: Iterable[Coef]) -> tuple[int, list[tuple[int, int]]]:
-    """The common denominator D of the real and imaginary parts of `values`
-    (Fractions or GaussianRationals), and the Gaussian integers D*v as
-    (re, im) pairs."""
-    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, _ZERO)
-             for v in values]
-    den = lcm(*(q.denominator for pair in parts for q in pair))
-    return den, [(re.numerator * (den // re.denominator),
-                  im.numerator * (den // im.denominator)) for re, im in parts]
+def _integer_form(vectors: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """(D, rows): the least common denominator D > 0 of the entries of the
+    rational vectors (ints count as rationals), and each vector v as the
+    integer row D*v.  The one place, with _primitive, that clears
+    denominators."""
+    den = lcm(*[x.denominator for v in vectors for x in v])
+    return den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+
+
+def _primitive(v: Sequence) -> tuple[tuple, int, int]:
+    """(w, a, b) with w = (a/b) v the primitive integer multiple of the
+    rational vector v and a, b > 0; the zero vector gives itself, a = b."""
+    a, (w,) = _integer_form([v])
+    b = gcd(*w) or a
+    return tuple(x // b for x in w), a, b
+
+
+def _integer_parts(values: Iterable[Coef]) -> tuple[int, list[list[int]]]:
+    """The Gaussian view of _integer_form: the common denominator D of the
+    real and imaginary parts of `values` (Fractions or GaussianRationals),
+    and the Gaussian integers D*v as [re, im] rows."""
+    return _integer_form([(v.re, v.im) if isinstance(v, GaussianRational) else (v, _ZERO)
+                          for v in values])
 
 
 def _term_key(exp):
@@ -501,17 +515,10 @@ class MultiPoly:
             lead = GaussianRational.coerce(self.leading_coef())
             monic = self * (GaussianRational(1) / lead)
             return monic if monic.is_gaussian else monic.normalized()
-        fracs = {e: Fraction(c.re) if isinstance(c, GaussianRational) else c
-                 for e, c in self.terms.items()}
-        scale = Fraction(
-            lcm(*(c.denominator for c in fracs.values())),
-            gcd(*(c.numerator for c in fracs.values())),
-        )
+        prim, _, _ = _primitive([getattr(c, "re", c) for c in self.terms.values()])
         lead = self.leading_coef()
-        lead = lead.re if isinstance(lead, GaussianRational) else lead
-        if lead < 0:
-            scale = -scale
-        return MultiPoly(self.num_vars, {e: c * scale for e, c in fracs.items()})
+        sign = -1 if getattr(lead, "re", lead) < 0 else 1
+        return MultiPoly(self.num_vars, {e: sign * w for e, w in zip(self.terms, prim)})
 
     # -- serialization ------------------------------------------------------
 

@@ -9,10 +9,9 @@ reproducibility contract.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
-from .poly import MultiPoly, check_invariant
+from .poly import MultiPoly, _primitive, check_invariant
 
 REFINE_WIDTH = Fraction(1, 2**30)
 
@@ -21,13 +20,6 @@ def _strip(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def _to_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints] if g else ints
 
 
 def poly_eval_coeffs(coeffs: Sequence, x: Fraction) -> Fraction:
@@ -82,13 +74,13 @@ def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in _to_int_coeffs(_strip(list(coeffs)))]
+    p0 = [Fraction(c) for c in _primitive(_strip(list(coeffs)))[0]]
     chain = [p0, _strip(_derivative(p0))]
     while chain[-1]:
         _, r = _poly_div(chain[-2], chain[-1])
         if not r:
             break
-        r = [Fraction(c) for c in _to_int_coeffs(r)]
+        r = [Fraction(c) for c in _primitive(r)[0]]
         chain.append([-c for c in r])
     return [c for c in chain if c]
 

@@ -34,7 +34,7 @@ from incidencekit.partition import (
     stage_schedule,
     veronese_lift,
 )
-from incidencekit.poly import MultiPoly
+from incidencekit.poly import GaussianRational, MultiPoly
 from incidencekit.roots import isolate_real_roots
 
 
@@ -708,6 +708,20 @@ class TestCrossings:
             assert not report.contained
             assert report.classes_visited <= report.bound
             assert report.bound == partition64.total_degree + 1
+
+    def test_real_line_with_gaussian_rational_coefficients(self):
+        # x + 2y - 1 written in Q(i) with zero imaginary parts is the same line
+        # as its rational twin; a non-real coefficient is rejected
+        result = polynomial_partition(
+            [(Fraction(i, 7), Fraction(i * i % 5, 3)) for i in range(12)], r=2)
+        exps = ((1, 0), (0, 1), (0, 0))
+        rational = MultiPoly(2, dict(zip(exps, map(Fraction, (1, 2, -1)))))
+        gaussian = MultiPoly(2, {e: GaussianRational(c) for e, c in zip(exps, (1, 2, -1))})
+        assert gaussian == rational
+        assert line_crossings(gaussian, result) == line_crossings(rational, result)
+        assert line_crossings(rational, result).segments == 3
+        with pytest.raises(ValueError, match="real line"):
+            line_crossings(rational + MultiPoly.constant(GaussianRational(0, 1), 2), result)
 
     def test_bisector_contained(self, partition64):
         b = partition64.bisectors[0]

@@ -1,6 +1,7 @@
 """Exact arithmetic kernel: polynomials, derivatives, resultants."""
 
 import hashlib
+import math
 import operator
 import random
 from fractions import Fraction
@@ -8,10 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencekit import roots
 from incidencekit.poly import (
     GaussianRational,
     I_UNIT,
     MultiPoly,
+    _integer_form,
+    _integer_parts,
+    _primitive,
     gradient,
     jacobian_rank,
     parse_poly,
@@ -423,6 +428,141 @@ class TestNormalized:
         assert q.leading_coef() > 0
         # scalar multiples collapse to the same normal form
         assert (p * Fraction(7, 3)).normalized() == q
+
+
+# The denominator and content clearings that poly._integer_form and
+# poly._primitive replace, kept as the oracles they are held to.
+
+
+def old_integer_form(vectors):
+    # partition._integer_form
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    return den, [[x.numerator * (den // x.denominator) for x in v] for v in vectors]
+
+
+def old_primitive(v):
+    # foliation._primitive
+    a = math.lcm(*(x.denominator for x in v))
+    w = [x.numerator * (a // x.denominator) for x in v]
+    b = math.gcd(*w) or a
+    return tuple(x // b for x in w), a, b
+
+
+def old_integer_parts(values):
+    parts = [(v.re, v.im) if isinstance(v, GaussianRational) else (v, Fraction(0))
+             for v in values]
+    den = math.lcm(*(q.denominator for pair in parts for q in pair))
+    return den, [(re.numerator * (den // re.denominator),
+                  im.numerator * (den // im.denominator)) for re, im in parts]
+
+
+def old_to_int_coeffs(coeffs):
+    # roots._to_int_coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g else ints
+
+
+def old_sturm_chain(coeffs):
+    p0 = [Fraction(c) for c in old_to_int_coeffs(roots._strip(list(coeffs)))]
+    chain = [p0, roots._strip(roots._derivative(p0))]
+    while chain[-1]:
+        _, r = roots._poly_div(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-Fraction(c) for c in old_to_int_coeffs(r)])
+    return [c for c in chain if c]
+
+
+def old_normalized(p):
+    # MultiPoly.normalized with its own Fraction(lcm, gcd) scale
+    if p.is_zero:
+        return p
+    if p.is_gaussian:
+        lead = GaussianRational.coerce(p.leading_coef())
+        monic = p * (GaussianRational(1) / lead)
+        return monic if monic.is_gaussian else old_normalized(monic)
+    fracs = {e: Fraction(c.re) if isinstance(c, GaussianRational) else c
+             for e, c in p.terms.items()}
+    scale = Fraction(math.lcm(*(c.denominator for c in fracs.values())),
+                     math.gcd(*(c.numerator for c in fracs.values())))
+    lead = p.leading_coef()
+    if (lead.re if isinstance(lead, GaussianRational) else lead) < 0:
+        scale = -scale
+    return MultiPoly(p.num_vars, {e: c * scale for e, c in fracs.items()})
+
+
+def typed(x):
+    """x with every scalar replaced by (type, value) and every list or tuple
+    by a list, so that equal results of equal scalar types compare equal."""
+    if isinstance(x, (list, tuple)):
+        return [typed(y) for y in x]
+    return type(x).__name__, x
+
+
+def typed_terms(p):
+    return [(e, type(c).__name__, c) for e, c in p.terms.items()]
+
+
+class TestIntegerForm:
+    """poly's denominator helpers, held to the copies they replace."""
+
+    @staticmethod
+    def rational(rng):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randrange(-30, 31)  # an int counts as a rational
+        if kind == 1:
+            return Fraction(0)
+        return Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 6, 7, 12, 35, 2**40)))
+
+    def vector(self, rng):
+        n = rng.randrange(0, 6)
+        if rng.random() < 0.15:
+            return [rng.choice((0, Fraction(0))) for _ in range(n)]
+        return [self.rational(rng) for _ in range(n)]
+
+    def test_integer_form_and_primitive_match_the_old_copies(self):
+        rng = random.Random(18)
+        for _ in range(400):
+            vectors = [self.vector(rng) for _ in range(rng.randrange(0, 4))]
+            assert typed(_integer_form(vectors)) == typed(old_integer_form(vectors))
+            for v in vectors:
+                new = _primitive(v)
+                assert typed(new) == typed(old_primitive(v))
+                assert type(new[0]) is tuple
+                assert list(new[0]) == old_to_int_coeffs(v)
+
+    def test_integer_parts_matches_the_old_copy(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            values = []
+            for _ in range(rng.randrange(0, 5)):
+                re, im = Fraction(self.rational(rng)), Fraction(self.rational(rng))
+                values.append(rng.choice((re, GaussianRational(re, 0), GaussianRational(re, im))))
+            assert typed(_integer_parts(values)) == typed(old_integer_parts(values))
+
+    def test_normalized_matches_the_old_scale(self):
+        rng = random.Random(20)
+        for k in range(200):
+            p = rand_poly(rng, rng.randrange(1, 4), rng.randrange(0, 4), gaussian=k % 4 == 3)
+            if k % 4 == 1 and not p.is_zero:
+                # a negative leading coefficient
+                p = p * (-1 if p.leading_coef() > 0 else 1)
+            if k % 4 == 2:
+                # a rational polynomial written in Q(i), or a Q(i) multiple of one
+                p = p * rng.choice((GaussianRational(Fraction(-3, 5)), GaussianRational(2, -1)))
+            new, old = p.normalized(), old_normalized(p)
+            assert new == old
+            assert typed_terms(new) == typed_terms(old)
+            assert new.to_json() == old.to_json()
+
+    def test_sturm_chain_matches_the_old_content_clearing(self):
+        rng = random.Random(21)
+        for _ in range(150):
+            coeffs = [self.rational(rng) for _ in range(rng.randrange(0, 7))]
+            assert typed(roots.sturm_chain(coeffs)) == typed(old_sturm_chain(coeffs))
 
 
 class TestParse:

@@ -120,3 +120,26 @@ def test_only_distribution_frame_builds_e_p():
     # and leaf tangency read grad P(p) alone, so no per-sample path builds it
     found = references_outside({"kernel_basis"}, {"distribution_frame"})
     assert not found, f"program code outside distribution_frame builds E_p: {found}"
+
+
+def test_only_poly_clears_denominators():
+    # poly._integer_form and poly._primitive are the one denominator and
+    # content clearing; any other module taking an lcm or gcd would be a copy
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            else:
+                continue
+            found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+                      for name in names & {"lcm", "gcd"}]
+    assert not found, f"denominator or content clearing outside poly: {found}"
