@@ -28,13 +28,15 @@ defect at a point (`bracket_defect`) and as a polynomial
 builds once.  Neither the defect nor leaf tangency builds E_p; the symbolic
 fields and their Lie bracket are the reference the tests hold them to.
 
-At a point every question is asked of integers.  Each rational vector
-(grad P(p), the frame of E_p, grad u and grad v, the Hessian values) is
-replaced by its primitive integer multiple (`poly._primitive`, which clears
-denominators with `poly._integer_form` and then the content): orthogonality,
-rank, equal row spans and the pair choice do not change under positive
-scaling, and the defect is homogeneous of degree 4 in grad P and 1 in
-Hess P, so `bracket_defect` divides once, exactly, to return to Q.
+At a point every question is asked of integers.  Whether P, u or v
+vanishes there is read from its Gaussian-integer sum (`poly._vanishes`), and
+each value vector (grad P(p), grad u and grad v, the Hessian values) is its
+primitive integer multiple, read from the same sums over their scales
+(`poly._primitive_at`) without building a Fraction per value; the frame of
+E_p is scaled the same way (`poly._primitive`).  Orthogonality, rank, equal
+row spans, exceptional-plane membership and the pair choice do not change
+under positive scaling, and the defect is homogeneous of degree 4 in grad P
+and 1 in Hess P, so `bracket_defect` divides once, exactly, to return to Q.
 """
 
 from __future__ import annotations
@@ -53,7 +55,14 @@ from .cr import (
     realify,
 )
 from .linalg import kernel_basis, rank, same_span
-from .poly import GaussianRational, MultiPoly, _primitive, check_invariant
+from .poly import (
+    GaussianRational,
+    MultiPoly,
+    _primitive,
+    _primitive_at,
+    _vanishes,
+    check_invariant,
+)
 
 
 class ExceptionalPointError(ValueError):
@@ -93,7 +102,7 @@ class Hypersurface:
                                           for a in range(4) for b in range(a, 4)})
 
     def contains(self, p: Sequence) -> bool:
-        return self.P.evaluate(p) == 0
+        return _vanishes(self.P, p, {})
 
 
 @dataclass(frozen=True)
@@ -112,25 +121,27 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     exceptional plane.
     """
     p = tuple(Fraction(c) for c in p)
-    g, (G, _, _) = _smooth_gradient(Z, p, {})
+    G, a, b = _smooth_gradient(Z, p, {})
     basis = kernel_basis([list(G), list(j_apply(G))])
     check_invariant(len(basis) == 2, "E_p must be two-dimensional")
     _check_frame_invariants(G, [_primitive(v)[0] for v in basis])
+    g = tuple(Fraction(c * b, a) for c in G)
     return DistributionFrame(p, g, j_apply(g), tuple(tuple(v) for v in basis))
 
 
-def _smooth_gradient(Z: Hypersurface, p: tuple, cache: dict) -> tuple[tuple, tuple]:
-    """grad P(p) and its `_primitive` form, once p (Fractions, with monomial
-    cache `cache`) is known to be a point of Z(P) where grad P is nonzero
-    and the tangent plane contains no exceptional plane."""
-    if Z.P.evaluate(p, cache) != 0:
+def _smooth_gradient(Z: Hypersurface, p: tuple, cache: dict) -> tuple[tuple, int, int]:
+    """(G, a, b) with G = (a/b) grad P(p) primitive (`poly._primitive_at`),
+    once p (Fractions, with monomial cache `cache`) is known to be a point
+    of Z(P) where grad P is nonzero and the tangent plane contains no
+    exceptional plane."""
+    if not _vanishes(Z.P, p, cache):
         raise ValueError(f"point {p} is not on the hypersurface")
-    g = tuple(d.evaluate(p, cache) for d in Z.grad)
-    if all(c == 0 for c in g):
+    G, a, b = _primitive_at(Z.grad, p, cache)
+    if not any(G):
         raise SingularPointError(f"gradient vanishes at {p}")
-    if pi_containment(g) is not PiContainment.NONE:
+    if pi_containment(G) is not PiContainment.NONE:
         raise ExceptionalPointError(f"tangent plane at {p} contains an exceptional plane")
-    return g, _primitive(g)
+    return G, a, b
 
 
 def _check_frame_invariants(g: Sequence[int], basis: list[tuple]):
@@ -258,7 +269,7 @@ def bracket_defect(
     """
     point = tuple(Fraction(c) for c in p)
     cache: dict = {}
-    _, (G, cn, cd) = _smooth_gradient(Z, point, cache)
+    G, cn, cd = _smooth_gradient(Z, point, cache)
     q = _pair_table(G)
     if i is None and j is None:
         i, j = max(list(q)[:6], key=lambda ij: q[ij] ** 2)
@@ -267,7 +278,7 @@ def bracket_defect(
         if q[i, j] == 0:
             raise FrameDegenerateError(f"frame pair ({i},{j}) degenerate at {p}; "
                                        "choose another pair")
-    K, en, ed = _primitive([d.evaluate(point, cache) for d in Z.hess.values()])
+    K, en, ed = _primitive_at(Z.hess.values(), point, cache)
     L = q[i, j] * _levi_scalar(G, dict(zip(Z.hess, K)))
     raw = Fraction(L * cd**4 * ed, cn**4 * en)
     n2 = sum(c * c for c in G)
@@ -305,16 +316,16 @@ def leaf_tangency_check(
     for raw in samples:
         p = tuple(Fraction(c) for c in raw)
         cache: dict = {}
-        if pair.u.evaluate(p, cache) != 0 or pair.v.evaluate(p, cache) != 0:
+        if not (_vanishes(pair.u, p, cache) and _vanishes(pair.v, p, cache)):
             records.append(TangencyRecord(p, "skip", "point not on the curve"))
             continue
-        gu = _primitive([d.evaluate(p, cache) for d in du])[0]
-        gv = _primitive([d.evaluate(p, cache) for d in dv])[0]
+        gu = _primitive_at(du, p, cache)[0]
+        gv = _primitive_at(dv, p, cache)[0]
         if rank([gu, gv]) != 2:
             records.append(TangencyRecord(p, "skip", "curve not regular at point"))
             continue
         try:
-            G = _smooth_gradient(Z, p, cache)[1][0]
+            G = _smooth_gradient(Z, p, cache)[0]
         except ValueError as exc:  # singular or exceptional point: inapplicable
             records.append(TangencyRecord(p, "skip", str(exc)))
             continue

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .cr import iota, realify
-from .poly import GaussianRational, MultiPoly, _integer_parts, coef_from_obj, coef_to_obj
+from .poly import GaussianRational, MultiPoly, _point_row, _vanishes, coef_from_obj, coef_to_obj
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -151,7 +151,7 @@ def residue(value) -> int | None:
     return value.numerator * pow(value.denominator, -1, p) % p
 
 
-def filter_candidates(config: Configuration) -> list[tuple[int, int]]:
+def filter_candidates(config: Configuration, _rows: list | None = None) -> list[tuple[int, int]]:
     """Sorted (point, curve) pairs that the modular filter cannot rule out.
 
     Each curve's integer form (the one MultiPoly.evaluate sums) is evaluated
@@ -159,14 +159,14 @@ def filter_candidates(config: Configuration) -> list[tuple[int, int]]:
     modulo FILTER_PRIME.  A nonzero residue proves the pair is not an
     incidence, so the result is a superset of the incidences: the pairs
     whose value vanishes mod p, plus every pair at a point with a
-    denominator divisible by p."""
+    denominator divisible by p.  `_rows`, when given, holds each point's
+    `poly._point_row`, already built by the caller."""
     p = FILTER_PRIME
-    rows = [_integer_parts(pt) for pt in config.points]
-    reduced = [i for i, (den, _) in enumerate(rows) if den % p]
-    unreduced = [i for i, (den, _) in enumerate(rows) if not den % p]
+    rows = [row for row, _ in _rows or map(_point_row, config.points)]
+    reduced = [i for i, row in enumerate(rows) if row[-1][0] % p]
+    unreduced = [i for i, row in enumerate(rows) if not row[-1][0] % p]
     coords = np.array(
-        [[(a + b * FILTER_SQRT_M1) % p for a, b in rows[i][1]] + [rows[i][0] % p]
-         for i in reduced],
+        [[(a + b * FILTER_SQRT_M1) % p for a, b in rows[i]] for i in reduced],
         dtype=np.int64,
     ).reshape(len(reduced), 3)
     monomials: dict[tuple, np.ndarray] = {}
@@ -194,8 +194,10 @@ class EmbeddingMismatchError(RuntimeError):
 def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> IncidenceMatrix:
     """Exact vanishing test on every pair the modular filter lets through
     (see filter_candidates); optionally cross-checks every confirmed complex
-    incidence through the R^4 embedding."""
-    candidates = filter_candidates(config)
+    incidence through the R^4 embedding.  Each point's row is built once:
+    the filter reads it, and it seeds the point's evaluation cache."""
+    rows = [_point_row(pt) for pt in config.points]
+    candidates = filter_candidates(config, _rows=rows)
     pairs = set()
     check = cross_check_embedding and config.ground_field == "C2"
     embedded: dict = {}
@@ -204,14 +206,16 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
     for i, j in candidates:
         p = config.points[i]
         if i != last_point:
-            cache, last_point = {}, i
+            # candidates are sorted by point: one cache per point in C^2,
+            # and one for its image in R^4 that u and v of every curve share
+            cache, cache4, last_point = {None: rows[i]}, {}, i
         if config.curves[j].evaluate(p, _cache=cache):
             continue
         if check:
             if j not in embedded:
                 embedded[j] = realify(config.curves[j])
             q = iota(p)
-            if embedded[j].u.evaluate(q) != 0 or embedded[j].v.evaluate(q) != 0:
+            if not (_vanishes(embedded[j].u, q, cache4) and _vanishes(embedded[j].v, q, cache4)):
                 raise EmbeddingMismatchError(
                     f"point {i} lies on curve {j} but not on its realification"
                 )

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import MultiPoly, _integer_form
+from .poly import MultiPoly, _integer_form, _real
 from .roots import (
     _halve,
     _sign,
@@ -642,7 +642,7 @@ def polynomial_partition(
     by exact recount on the integer rows of the lifted points."""
     if r < 2:
         raise ValueError("partition parameter r must be >= 2")
-    pts = [tuple(c if isinstance(c, Fraction) else Fraction(c) for c in p)
+    pts = [tuple(c if isinstance(c, Fraction) else _real(c) for c in p)
            for p in points]
     if not pts:
         raise ValueError("no points to partition")
@@ -722,7 +722,7 @@ def polynomial_partition(
 
 
 def sign_class(point: Sequence, result: PartitionResult) -> tuple[int, ...]:
-    p = [Fraction(c) for c in point]
+    p = [_real(c) for c in point]
     return tuple(_sign(b.evaluate(p)) for b in result.bisectors)
 
 
@@ -748,9 +748,8 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
         raise ValueError("partition is not planar")
     if line.is_gaussian:
         raise ValueError("expected a real line (rational coefficients)")
-    a, b, c = (line.terms.get(e, Fraction(0)) for e in ((1, 0), (0, 1), (0, 0)))
     # real coefficients may be written as GaussianRationals: read their real parts
-    a, b, c = (getattr(k, "re", k) for k in (a, b, c))
+    a, b, c = (_real(line.terms.get(e, 0)) for e in ((1, 0), (0, 1), (0, 0)))
     if b != 0:
         p0 = (Fraction(0), -c / b)
     else:

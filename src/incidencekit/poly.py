@@ -162,6 +162,17 @@ def _coerce_scalar(value) -> Coef:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
+def _real(value) -> Fraction:
+    """A real scalar as a Fraction: an int, a string, a Fraction, or a
+    GaussianRational whose imaginary part is 0 (its real part).  ValueError
+    on a non-real value."""
+    if isinstance(value, GaussianRational):
+        if value.im:
+            raise ValueError(f"expected a real value, got {value}")
+        return value.re
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 def _integer_form(vectors: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """(D, rows): the least common denominator D > 0 of the entries of the
     rational vectors (ints count as rationals), and each vector v as the
@@ -185,6 +196,36 @@ def _integer_parts(values: Iterable[Coef]) -> tuple[int, list[list[int]]]:
     and the Gaussian integers D*v as [re, im] rows."""
     return _integer_form([(v.re, v.im) if isinstance(v, GaussianRational) else (v, _ZERO)
                           for v in values])
+
+
+def _point_row(point: Sequence[Scalar]) -> tuple[list, set]:
+    """(row, gaussian): the point's coordinates over their common denominator
+    D as Gaussian integers [re, im], then (D, 0); and the indices of its
+    GaussianRational coordinates.  The row every evaluation at the point
+    reads, cached under the key None."""
+    point = [_coerce_scalar(x) for x in point]
+    den, coords = _integer_parts(point)
+    return coords + [(den, 0)], {k for k, x in enumerate(point) if isinstance(x, GaussianRational)}
+
+
+def _vanishes(f: "MultiPoly", point: Sequence[Scalar], cache: dict) -> bool:
+    """Whether f is 0 at the point: its Gaussian-integer sum is 0."""
+    re, im, _, _ = f._integer_sum(point, cache)
+    return not (re or im)
+
+
+def _primitive_at(polys: Iterable["MultiPoly"], point: Sequence[Scalar],
+                  cache: dict) -> tuple[tuple, int, int]:
+    """`_primitive` of the values of `polys` at the point, read from their
+    integer sums: (w, a, b) with w = (a/b) v primitive and a, b > 0, where a
+    and b need not be coprime.  ValueError on a non-real value."""
+    sums = [f._integer_sum(point, cache) for f in polys]
+    if any(im for _, im, _, _ in sums):
+        raise ValueError("primitive vector of a non-real value")
+    a = lcm(*[q for _, _, q, _ in sums])
+    w = [re * (a // q) for re, _, q, _ in sums]
+    b = gcd(*w) or a
+    return tuple(x // b for x in w), a, b
 
 
 def _term_key(exp):
@@ -363,29 +404,21 @@ class MultiPoly:
             object.__setattr__(self, "_integer", (scale, terms, gaussian, used))
         return self._integer
 
-    def evaluate(self, point: Sequence[Scalar], _cache: dict | None = None) -> Coef:
-        """Exact value at a point of rationals / Gaussian rationals.
-
-        The sum runs in Gaussian integers: with the point's coordinates over
-        their common denominator D as the row (D*x_1, ..., D*x_n, D), the
-        homogenised _integer_terms summed at the row is L * D^d times the
-        value.  The value is a GaussianRational when a coefficient is one or
-        a variable that occurs has a GaussianRational coordinate.
-
-        `_cache`, when given, memoizes the row and monomial values for
-        repeated evaluation of many polynomials at the same point.
-        """
+    def _integer_sum(self, point: Sequence[Scalar], cache: dict) -> tuple[int, int, int, bool]:
+        """(re, im, q, gaussian): the Gaussian integer re + im*i that is q times
+        the value at the point, with q = L * D^d > 0 not reduced, and whether
+        `evaluate` types the value as a GaussianRational.  The sum runs over
+        the homogenised _integer_terms at the point's row (D*x_1, ..., D*x_n,
+        D) over its common denominator D.  `cache` holds the row
+        (`_point_row`) and the monomial values, for many polynomials at one
+        point."""
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has {len(point)} coordinates, polynomial has "
                 f"{self.num_vars} variables"
             )
-        cache = {} if _cache is None else _cache
         if None not in cache:
-            point = [_coerce_scalar(x) for x in point]
-            den, coords = _integer_parts(point)
-            cache[None] = (coords + [(den, 0)],
-                           {k for k, x in enumerate(point) if isinstance(x, GaussianRational)})
+            cache[None] = _point_row(point)
         row, gaussian_vars = cache[None]
         scale, terms, gaussian, used = self._integer_terms()
         re = im = 0
@@ -400,7 +433,21 @@ class MultiPoly:
             re += c_re * mono[0] - c_im * mono[1]
             im += c_re * mono[1] + c_im * mono[0]
         q = scale * row[-1][0] ** max(self._degree, 0)
-        if gaussian or not gaussian_vars.isdisjoint(used):
+        return re, im, q, gaussian or not gaussian_vars.isdisjoint(used)
+
+    def evaluate(self, point: Sequence[Scalar], _cache: dict | None = None) -> Coef:
+        """Exact value at a point of rationals / Gaussian rationals: the
+        Gaussian-integer sum of `_integer_sum` divided once by its scale.
+        The value is a GaussianRational when a coefficient is one or a
+        variable that occurs has a GaussianRational coordinate.  Questions
+        with integer answers (is it zero?  which primitive direction?) read
+        the sum directly, through `_vanishes` and `_primitive_at`.
+
+        `_cache`, when given, memoizes the row and monomial values for
+        repeated evaluation of many polynomials at the same point.
+        """
+        re, im, q, gaussian = self._integer_sum(point, {} if _cache is None else _cache)
+        if gaussian:
             return GaussianRational._of(Fraction(re, q), Fraction(im, q))
         return Fraction(re, q)
 
@@ -468,11 +515,7 @@ class MultiPoly:
         d = max(self.degree_in(var), 0)
         out = [Fraction(0)] * (d + 1)
         for exp, coef in self.terms.items():
-            if isinstance(coef, GaussianRational):
-                if coef.im != 0:
-                    raise ValueError("polynomial has non-real coefficients")
-                coef = coef.re
-            out[exp[var]] = coef
+            out[exp[var]] = _real(coef)
         return out
 
     # -- division ---------------------------------------------------------

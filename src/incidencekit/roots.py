@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, _primitive, check_invariant
+from .poly import MultiPoly, _primitive, _real, check_invariant
 
 REFINE_WIDTH = Fraction(1, 2**30)
 
@@ -135,7 +135,7 @@ def isolate_real_roots(
     if isinstance(p, MultiPoly):
         coeffs = p.univariate_coeffs()
     else:
-        coeffs = [Fraction(c) for c in p]
+        coeffs = [_real(c) for c in p]
     coeffs = _strip(coeffs)
     if not coeffs:
         raise ValueError("zero polynomial has no isolated roots")
@@ -146,7 +146,7 @@ def isolate_real_roots(
         b = cauchy_root_bound(sf)
         lo, hi = -b, b
     else:
-        lo, hi = Fraction(interval[0]), Fraction(interval[1])
+        lo, hi = _real(interval[0]), _real(interval[1])
     if lo > hi:
         raise ValueError("empty query interval")
 

@@ -2,13 +2,14 @@
 
 import collections
 import decimal
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from incidencekit.incidence import (
@@ -27,6 +28,8 @@ from incidencekit.incidence import (
     project_generic,
     residue,
 )
+from incidencekit import incidence, poly
+from incidencekit.configurations import gen_complex_lines_product, gen_grid_lines
 from incidencekit.poly import GaussianRational, I_UNIT, MultiPoly
 
 Z1, Z2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
@@ -267,6 +270,92 @@ class TestModularFilter:
             gen_random(40, 8, 3, seed=3),
         ):
             assert build_matrix(config).incidences == exact_incidences(config)
+
+
+@functools.cache
+def affine_base():
+    """A small C2 configuration with incidences on lines and on curves of
+    degree 2 and 3: a 3 x 3 complex line product, two parabolas and a cubic
+    through some of its points; and its incidences."""
+    base = gen_complex_lines_product(3, 3, seed=19)
+    extra = []
+    for k, (a, b) in enumerate(base.points[:6:2]):
+        if k < 2:
+            extra.append(Z2 - Z1 * Z1 + MultiPoly.constant(a * a - b, 2))
+        else:
+            extra.append(Z1 * Z2 * Z2 - Z1 * Z1 * Z1 + MultiPoly.constant(a * a * a - a * b * b, 2))
+    config = Configuration.build("C2", base.points, [*base.curves, *extra])
+    return config, build_matrix(config, cross_check_embedding=True).incidences
+
+
+_map_entries = st.builds(
+    lambda a, b, d, e: GaussianRational(Fraction(a, d), Fraction(b, e)),
+    st.integers(-5, 5), st.integers(-5, 5),
+    st.sampled_from([1, 2, 3, 7, FILTER_PRIME]), st.sampled_from([1, 2, 5, FILTER_PRIME]),
+)
+
+
+def moved_configuration(config, A, t):
+    """The points q -> Aq + t and the curves f -> f(A^-1 (z - t)), for an
+    invertible A over Q(i): f(q) = 0 iff the moved f vanishes at Aq + t."""
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    inverse = ((d / det, -b / det), (-c / det, a / det))
+    shifted = [Z1 - MultiPoly.constant(t[0], 2), Z2 - MultiPoly.constant(t[1], 2)]
+    replacements = [shifted[0] * row[0] + shifted[1] * row[1] for row in inverse]
+    points = [tuple(row[0] * q[0] + row[1] * q[1] + tk for row, tk in zip(A, t))
+              for q in config.points]
+    curves = [f.substitute(replacements) for f in config.curves]
+    return Configuration.build("C2", points, curves)
+
+
+class TestAffineInvariance:
+    """An invertible affine map of C^2 over Q(i) moves points and curves
+    together, so it keeps every incidence, through the filter, the exact
+    confirmation and the R^4 cross-check alike."""
+
+    def test_base_has_incidences_on_every_degree(self):
+        base, expected = affine_base()
+        assert {base.curves[j].total_degree for _, j in expected} == {1, 2, 3}
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_map_entries, min_size=6, max_size=6))
+    @example([GaussianRational(1), GaussianRational(0), GaussianRational(0),
+              GaussianRational(1), GaussianRational(Fraction(1, FILTER_PRIME)),
+              GaussianRational(0, Fraction(2, FILTER_PRIME))])
+    @example([GaussianRational(Fraction(1, FILTER_PRIME), 1), GaussianRational(2),
+              GaussianRational(0, -1), GaussianRational(Fraction(3, 7), Fraction(1, 2)),
+              GaussianRational(0), GaussianRational(Fraction(-1, 3))])
+    def test_incidences_survive_an_affine_map(self, entries):
+        a, b, c, d, t1, t2 = entries
+        assume(a * d - b * c)
+        base, expected = affine_base()
+        moved = moved_configuration(base, ((a, b), (c, d)), (t1, t2))
+        assert (moved.m, moved.n) == (base.m, base.n)
+        assert build_matrix(moved, cross_check_embedding=True).incidences == expected
+        assert set(filter_candidates(moved)) >= expected
+
+
+class TestRowsBuiltOnce:
+    def test_build_matrix_builds_each_point_row_once(self, monkeypatch):
+        config = gen_grid_lines(3)
+        expected = brute_force_count(config)
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return poly_point_row(point)
+
+        poly_point_row = poly._point_row
+        monkeypatch.setattr(poly, "_point_row", counted)
+        monkeypatch.setattr(incidence, "_point_row", counted)
+        M = build_matrix(config)
+        assert len(calls) == config.m
+        assert M.count == expected
+        # the filter also builds the rows itself when called on its own
+        assert filter_candidates(config) == sorted(M.incidences)
+        assert len(calls) == 2 * config.m
 
 
 def certify_dof_pairwise(M, k, s):

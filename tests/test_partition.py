@@ -723,6 +723,21 @@ class TestCrossings:
         with pytest.raises(ValueError, match="real line"):
             line_crossings(rational + MultiPoly.constant(GaussianRational(0, 1), 2), result)
 
+    def test_real_points_written_as_gaussian_rationals(self):
+        # points whose coordinates are GaussianRationals with zero imaginary
+        # parts are the same points as their rational twins; a non-real
+        # coordinate is rejected
+        real = [(Fraction(i, 7), Fraction(i * i % 5, 3)) for i in range(12)]
+        wrapped = [tuple(map(GaussianRational, p)) for p in real]
+        result = polynomial_partition(real, r=2)
+        assert polynomial_partition(wrapped, r=2) == result
+        assert [sign_class(p, result) for p in wrapped] == result.sign_assignment
+        odd = [wrapped[0][0], GaussianRational(0, 1)]
+        with pytest.raises(ValueError, match="real value"):
+            polynomial_partition([*wrapped, odd], r=2)
+        with pytest.raises(ValueError, match="real value"):
+            sign_class(odd, result)
+
     def test_bisector_contained(self, partition64):
         b = partition64.bisectors[0]
         if b.total_degree == 1:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incidencekit import roots
+from incidencekit.incidence import FILTER_PRIME
 from incidencekit.poly import (
     GaussianRational,
     I_UNIT,
@@ -17,6 +18,9 @@ from incidencekit.poly import (
     _integer_form,
     _integer_parts,
     _primitive,
+    _primitive_at,
+    _real,
+    _vanishes,
     gradient,
     jacobian_rank,
     parse_poly,
@@ -563,6 +567,98 @@ class TestIntegerForm:
         for _ in range(150):
             coeffs = [self.rational(rng) for _ in range(rng.randrange(0, 7))]
             assert typed(roots.sturm_chain(coeffs)) == typed(old_sturm_chain(coeffs))
+
+
+class TestIntegerQuestions:
+    """The integer zero test and _primitive_at, held to evaluate and
+    _primitive, and the integer sum they read to term-by-term arithmetic."""
+
+    DENOMINATORS = (1, 2, 3, 7, 12, 2**40, 3 * 2**40, FILTER_PRIME, 5 * FILTER_PRIME)
+
+    def scalar(self, rng, gaussian):
+        def part():
+            if rng.random() < 0.2:
+                return Fraction(0)
+            return Fraction(rng.randrange(-40, 41), rng.choice(self.DENOMINATORS))
+        return GaussianRational(part(), part()) if gaussian else part()
+
+    def poly(self, rng, num_vars, gaussian):
+        kind = rng.randrange(5)
+        if kind == 0:
+            return MultiPoly.zero(num_vars)
+        if kind == 1:
+            return MultiPoly.constant(self.scalar(rng, gaussian), num_vars)
+        terms = {}
+        for _ in range(rng.randrange(1, 6)):
+            exp = [0] * num_vars
+            for _ in range(rng.randrange(4)):
+                exp[rng.randrange(num_vars)] += 1
+            terms[tuple(exp)] = self.scalar(rng, gaussian and rng.random() < 0.7)
+        return MultiPoly(num_vars, terms)
+
+    def case(self, rng):
+        """(point, polys): a real or Gaussian point, and polynomials over Q or
+        Q(i), about a third of them shifted to vanish at the point."""
+        num_vars = rng.randint(1, 4)
+        point = [self.scalar(rng, rng.random() < 0.4) for _ in range(num_vars)]
+        gaussian = rng.random() < 0.4
+        polys = []
+        for _ in range(rng.randint(1, 5)):
+            f = self.poly(rng, num_vars, gaussian)
+            if rng.random() < 0.35:
+                f = f - reference_evaluate(f, point)
+            polys.append(f)
+        return point, polys
+
+    def test_integer_sum_is_the_value_times_its_scale(self):
+        rng = random.Random(1901)
+        for _ in range(300):
+            point, polys = self.case(rng)
+            cache = {}
+            for f in polys:
+                re, im, q, gaussian = f._integer_sum(point, cache)
+                assert {type(re), type(im), type(q)} == {int} and q > 0
+                expected = GaussianRational.coerce(reference_evaluate(f, point))
+                assert (Fraction(re, q), Fraction(im, q)) == (expected.re, expected.im)
+                assert gaussian == (type(f.evaluate(point)) is GaussianRational)
+
+    def test_zero_test_matches_evaluate(self):
+        rng = random.Random(1902)
+        zeros = 0
+        for _ in range(300):
+            point, polys = self.case(rng)
+            cache = {}
+            for f in polys:
+                zero = f.evaluate(point) == 0
+                assert zero == (reference_evaluate(f, point) == 0)
+                assert _vanishes(f, point, cache) is zero
+                assert _vanishes(f, point, {}) is zero
+                zeros += zero
+        assert zeros > 100  # the shifted polynomials vanish
+
+    def test_primitive_at_matches_primitive_of_the_values(self):
+        rng = random.Random(1903)
+        raised = 0
+        for _ in range(400):
+            point, polys = self.case(rng)
+            if rng.random() < 0.6:
+                # real polynomials at a real point: every value is real
+                point = [getattr(x, "re", x) for x in point]
+                polys = [MultiPoly(f.num_vars, {e: getattr(c, "re", c) for e, c in f.terms.items()})
+                         for f in polys]
+            cache = {}
+            values = [f.evaluate(point, cache) for f in polys]
+            if any(getattr(v, "im", 0) for v in values):
+                with pytest.raises(ValueError):
+                    _primitive_at(polys, point, {})
+                raised += 1
+                continue
+            w, a, b = _primitive_at(polys, point, cache)
+            ew, ea, eb = _primitive([_real(v) for v in values])
+            assert typed(w) == typed(ew)
+            assert {type(a), type(b)} == {int} and a > 0 and b > 0
+            assert Fraction(a, b) == Fraction(ea, eb)
+        assert raised > 20
 
 
 class TestParse:

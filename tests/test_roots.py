@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from incidencekit.poly import MultiPoly
+from incidencekit.poly import GaussianRational, MultiPoly
 from incidencekit.roots import (
     REFINE_WIDTH,
     count_roots,
@@ -59,6 +59,21 @@ class TestIsolation:
         assert len(intervals) == 1
         lo, hi = intervals[0]
         assert lo * lo < 2 < hi * hi
+
+    def test_real_coefficients_written_as_gaussian_rationals(self):
+        # x^2 - 2 with GaussianRational coefficients of zero imaginary part
+        # has the roots of its rational twin; a non-real coefficient or end
+        # of the query interval is rejected
+        coeffs = [-2, 0, 1]
+        wrapped = [GaussianRational(c) for c in coeffs]
+        assert isolate_real_roots(wrapped) == isolate_real_roots(coeffs)
+        assert (isolate_real_roots(wrapped, (GaussianRational(0), GaussianRational(2)))
+                == isolate_real_roots(coeffs, (0, 2)))
+        assert len(isolate_real_roots(wrapped)) == 2
+        with pytest.raises(ValueError, match="real value"):
+            isolate_real_roots([*wrapped[:2], GaussianRational(1, 1)])
+        with pytest.raises(ValueError, match="real value"):
+            isolate_real_roots(coeffs, (0, GaussianRational(2, 1)))
 
     def test_three_roots(self):
         p = from_roots([Fraction(1), Fraction(2), Fraction(3)])

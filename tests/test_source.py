@@ -143,3 +143,32 @@ def test_only_poly_clears_denominators():
             found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
                       for name in names & {"lcm", "gcd"}]
     assert not found, f"denominator or content clearing outside poly: {found}"
+
+
+def _calls(node, name: str) -> bool:
+    """Whether `node` is a call of a function or method named `name`."""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+
+def test_integer_questions_read_the_integer_sum():
+    # whether a value is 0, and its primitive integer direction, are read from
+    # the Gaussian-integer sum (poly._vanishes, poly._primitive_at); building
+    # a Fraction per value to compare it with 0 or clear it again is waste.
+    # A truth test on one evaluate value (the incidence confirmation) and
+    # signs of evaluate values (sign_class) stay.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                zero = any(isinstance(o, ast.Constant) and type(o.value) is int and o.value == 0
+                           for o in operands)
+                if zero and any(_calls(n, "evaluate") for o in operands for n in ast.walk(o)):
+                    found.append(f"{path.name}:{node.lineno} evaluate(...) compared with 0")
+            elif _calls(node, "_primitive"):
+                if any(_calls(n, "evaluate") for a in node.args for n in ast.walk(a)):
+                    found.append(f"{path.name}:{node.lineno} _primitive of evaluate(...) values")
+    assert not found, f"integer questions answered through Fractions: {found}"
