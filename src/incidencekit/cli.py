@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -37,7 +36,7 @@ from .incidence import (
     kst_double_count,
 )
 from .partition import BudgetExhaustedError, polynomial_partition
-from .poly import MultiPoly
+from .poly import MultiPoly, coef_from_obj
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -267,7 +266,7 @@ def cmd_foliate(args) -> int:
         samples = {}
         if isinstance(cobj, dict) and "samples" in cobj:
             samples = {
-                int(k): [tuple(Fraction(c) for c in p) for p in v]
+                int(k): [tuple(coef_from_obj(c) for c in p) for p in v]
                 for k, v in cobj["samples"].items()
             }
     except (AttributeError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -348,9 +347,12 @@ def cmd_fit(args) -> int:
     except OSError as exc:
         raise InputError(f"cannot read {args.series}: {exc}") from exc
     for line_no, line in enumerate(text.strip().splitlines()):
-        if line_no == 0 and not line.split(",")[0].strip().isdigit():
-            continue  # header row
-        m, n, i = (int(x) for x in line.split(","))
+        try:
+            m, n, i = (int(x) for x in line.split(","))
+        except ValueError:
+            if line_no == 0:
+                continue  # header row: line 0 is data only if it reads as three integers
+            raise
         series.append((m, n, i))
     fit = exponent_fit(series)
     out = Path(args.out or "fit.json")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from .linalg import rank
-from .poly import GaussianRational, InvariantError, MultiPoly, gradient
+from .poly import GaussianRational, InvariantError, MultiPoly, _parts, _real, gradient
 
 # Canonical bases of the two exceptional complex 2-planes in C^4.
 # PI1 = {a2 = -i a1, a4 = -i a3}; PI2 is its complex conjugate.
@@ -52,14 +51,15 @@ class RealPair:
             raise ValueError("real pair lives in (x1, y1, x2, y2)")
 
 
-def iota(point: Sequence) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(z1, z2) -> (Re z1, Im z1, Re z2, Im z2)."""
-    z1, z2 = (GaussianRational.coerce(z) for z in point)
-    return (z1.re, z1.im, z2.re, z2.im)
+def iota(point: Sequence) -> tuple:
+    """(z1, z2) -> (Re z1, Im z1, Re z2, Im z2); a real coordinate is its own
+    real part, as given, with imaginary part 0."""
+    z1, z2 = point
+    return (*_parts(z1), *_parts(z2))
 
 
 def iota_inv(point: Sequence) -> tuple[GaussianRational, GaussianRational]:
-    x1, y1, x2, y2 = (Fraction(c) for c in point)
+    x1, y1, x2, y2 = (_real(c) for c in point)
     return (GaussianRational(x1, y1), GaussianRational(x2, y2))
 
 
@@ -77,7 +77,7 @@ def realify(curve: ComplexCurve | MultiPoly) -> RealPair:
         raise ValueError("expected a polynomial in (z1, z2)")
     u_terms, v_terms = {}, {}
     for (a, b), c in f.terms.items():
-        re, im = (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0)
+        re, im = _parts(c)
         # (Re, Im) of c * i^n for n = 0, 1, 2, 3
         turns = ((re, im), (-im, re), (-re, -im), (im, -re))
         for k in range(a + 1):
@@ -121,8 +121,7 @@ def _exceptional_planes(a: Sequence) -> tuple[bool, bool]:
     a2 = -lambda*a1 and a4 = -lambda*a3 for lambda = i and for lambda = -i,
     read from real and imaginary parts (a2 = -i*a1 iff re a2 = im a1 and
     im a2 = -re a1); the zero vector lies in both."""
-    (r1, m1), (r2, m2), (r3, m3), (r4, m4) = (
-        (c.re, c.im) if isinstance(c, GaussianRational) else (c, 0) for c in a)
+    (r1, m1), (r2, m2), (r3, m3), (r4, m4) = map(_parts, a)
     return (r2 == m1 and m2 == -r1 and r4 == m3 and m4 == -r3,
             r2 == -m1 and m2 == r1 and r4 == -m3 and m4 == r3)
 
@@ -175,7 +174,7 @@ def tangent_contains_pi(P: MultiPoly, p: Sequence) -> PiContainment:
     if P.num_vars != 4:
         raise ValueError("hypersurface polynomial must be in 4 variables")
     grad = gradient(P, p)
-    if all(not g for g in (GaussianRational.coerce(c) for c in grad)):
+    if not any(grad):
         raise SingularPointError(f"gradient vanishes at {p}")
     return pi_containment(grad)
 

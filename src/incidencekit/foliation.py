@@ -60,6 +60,7 @@ from .poly import (
     MultiPoly,
     _primitive,
     _primitive_at,
+    _real,
     _vanishes,
     check_invariant,
 )
@@ -77,7 +78,11 @@ class FrameDegenerateError(ValueError):
 class Hypersurface:
     """Real hypersurface Z(P) in R^4.  Irreducibility is declared by the
     caller, never verified (no real factorization in scope).  P is held
-    over Q, also when its real coefficients are given as Gaussian rationals.
+    over Q: a real coefficient written in Q(i) is read as its rational
+    twin (`poly._real`), and a non-real one raises ValueError.
+    `contains`, `distribution_frame`, `bracket_defect` and
+    `leaf_tangency_check` read the coordinates of their points by the same
+    rule.
 
     `grad` holds the four first partials of P and `hess` the ten distinct
     second partials, keyed by (a, b) with a <= b; both are built once."""
@@ -95,14 +100,14 @@ class Hypersurface:
             raise ValueError("hypersurface polynomial must have rational coefficients")
         if any(isinstance(c, GaussianRational) for c in self.P.terms.values()):
             object.__setattr__(self, "P", MultiPoly(4, {
-                e: getattr(c, "re", c) for e, c in self.P.terms.items()}))
+                e: _real(c) for e, c in self.P.terms.items()}))
         grad = tuple(self.P.partial(k) for k in range(4))
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", {(a, b): grad[a].partial(b)
                                           for a in range(4) for b in range(a, 4)})
 
     def contains(self, p: Sequence) -> bool:
-        return _vanishes(self.P, p, {})
+        return _vanishes(self.P, [_real(c) for c in p], {})
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def distribution_frame(Z: Hypersurface, p: Sequence) -> DistributionFrame:
     ExceptionalPointError at points whose tangent plane contains an
     exceptional plane.
     """
-    p = tuple(Fraction(c) for c in p)
+    p = tuple(_real(c) for c in p)
     G, a, b = _smooth_gradient(Z, p, {})
     basis = kernel_basis([list(G), list(j_apply(G))])
     check_invariant(len(basis) == 2, "E_p must be two-dimensional")
@@ -267,7 +272,7 @@ def bracket_defect(
     defect L = q_ij(G) lambda(G, K) is c^4 e times the one at p, so
     raw = L / (c^4 e) and normalized = raw / |grad P(p)|^6 = L c^2 / (e |G|^6).
     """
-    point = tuple(Fraction(c) for c in p)
+    point = tuple(_real(c) for c in p)
     cache: dict = {}
     G, cn, cd = _smooth_gradient(Z, point, cache)
     q = _pair_table(G)
@@ -314,7 +319,7 @@ def leaf_tangency_check(
     dv = [pair.v.partial(k) for k in range(4)]
     records = []
     for raw in samples:
-        p = tuple(Fraction(c) for c in raw)
+        p = tuple(_real(c) for c in raw)
         cache: dict = {}
         if not (_vanishes(pair.u, p, cache) and _vanishes(pair.v, p, cache)):
             records.append(TangencyRecord(p, "skip", "point not on the curve"))
@@ -366,9 +371,7 @@ def containment_check(Z: Hypersurface, curve: ComplexCurve) -> ContainmentResult
     """
     g = graph_form(curve)
     if g is not None:
-        # realify g as a map of z1 alone: embed g(z1) into (x1, y1) variables
-        g2 = MultiPoly(2, {(e[0], 0): c for e, c in g.terms.items()})
-        pair_g = realify(ComplexCurve(g2))  # u_g, v_g in (x1,y1,_,_)
+        pair_g = realify(g)  # g is in (z1, z2) with z2-exponent 0: u_g, v_g in (x1, y1)
         x1, y1 = MultiPoly.variable(0, 4), MultiPoly.variable(1, 4)
         residual = Z.P.substitute([x1, y1, pair_g.u, pair_g.v])
         status = "true" if residual.is_zero else "false"
@@ -381,10 +384,5 @@ def leaf_sample_points(
     g: MultiPoly, c: Fraction, z1_values: Sequence[GaussianRational]
 ) -> list[tuple]:
     """Exact points of iota(z2 = g(z1) + c) for given z1 values."""
-    pts = []
     pad = [GaussianRational(0)] * (g.num_vars - 1)
-    for z1 in z1_values:
-        z1 = GaussianRational.coerce(z1)
-        z2 = GaussianRational.coerce(g.evaluate([z1] + pad)) + GaussianRational.coerce(c)
-        pts.append(iota((z1, z2)))
-    return pts
+    return [iota((z1, g.evaluate([z1, *pad]) + c)) for z1 in z1_values]

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .cr import iota, realify
-from .poly import GaussianRational, MultiPoly, _point_row, _vanishes, coef_from_obj, coef_to_obj
+from .poly import (GaussianRational, MultiPoly, _parts, _point_row, _real, _vanishes,
+                   coef_from_obj, coef_to_obj)
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -43,7 +44,7 @@ class Configuration:
         seen_pts, pts = set(), []
         for p in points:
             key = tuple(
-                GaussianRational.coerce(c) if ground_field == "C2" else Fraction(c)
+                GaussianRational.coerce(c) if ground_field == "C2" else _real(c)
                 for c in p
             )
             if len(key) != 2:
@@ -139,16 +140,12 @@ def residue(value) -> int | None:
     """Image of a rational or Gaussian rational under the ring map
     Z_(p)[i] -> F_p, i -> FILTER_SQRT_M1; None when a denominator is
     divisible by p (the value lies outside Z_(p)[i])."""
-    p = FILTER_PRIME
-    if isinstance(value, GaussianRational):
-        re, im = residue(value.re), residue(value.im)
-        if re is None or im is None:
-            return None
-        return (re + im * FILTER_SQRT_M1) % p
-    value = Fraction(value)
-    if value.denominator % p == 0:
+    re, im = _parts(value)
+    den = re.denominator * im.denominator
+    if den % FILTER_PRIME == 0:
         return None
-    return value.numerator * pow(value.denominator, -1, p) % p
+    num = re.numerator * im.denominator + im.numerator * re.denominator * FILTER_SQRT_M1
+    return num * pow(den, -1, FILTER_PRIME) % FILTER_PRIME
 
 
 def filter_candidates(config: Configuration, _rows: list | None = None) -> list[tuple[int, int]]:
@@ -404,8 +401,8 @@ def exponent_fit(series: Sequence[tuple[int, int, int]]) -> ExponentFit:
     b = 0."""
     if len(series) < 3:
         raise ValueError("need at least 3 data points")
-    if any(i < 1 for _, _, i in series):
-        raise ValueError("all incidence counts must be >= 1")
+    if any(x < 1 for row in series for x in row):
+        raise ValueError("m, n and the incidence count must be >= 1 in every row")
     lm = np.log([float(m) for m, _, _ in series])
     ln = np.log([float(n) for _, n, _ in series])
     li = np.log([float(i) for _, _, i in series])
@@ -425,7 +422,7 @@ def project_generic(points: Sequence[Sequence], seed: int = 0):
     injective on the given points (at most 100 tries)."""
     import random
 
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    pts = [tuple(_real(c) for c in p) for p in points]
     for attempt in range(100):
         rng = random.Random(seed * 1000003 + attempt)
         matrix = [

@@ -75,7 +75,7 @@ def veronese_lift(point: Sequence, degree: int) -> tuple[Fraction, ...]:
     The rational view of the integer lift: its row divided by D^degree."""
     if degree < 1:
         raise ValueError("lift degree must be >= 1")
-    pt = [Fraction(c) for c in point]
+    pt = [_real(c) for c in point]
     den, nums = _integer_form([pt])
     (row,) = _lift_rows(nums, den, len(pt), degree)
     return tuple(Fraction(x, row[0]) for x in row[1:])
@@ -108,13 +108,8 @@ def min_lift_degree(dim: int, n_sets: int) -> int:
 
 def hyperplane_poly(coeffs: Sequence[Fraction], dim: int, degree: int) -> MultiPoly:
     """Hyperplane (c0, c1..cD) in lifted space as a polynomial in R^dim."""
-    exps = monomial_exponents(dim, degree)
-    terms = {(0,) * dim: Fraction(coeffs[0])}
-    for exp, c in zip(exps, coeffs[1:]):
-        c = Fraction(c)
-        if c:
-            terms[exp] = c
-    return MultiPoly(dim, terms)
+    exps = [(0,) * dim, *monomial_exponents(dim, degree)]
+    return MultiPoly(dim, dict(zip(exps, map(_real, coeffs))))
 
 
 @dataclass
@@ -143,7 +138,7 @@ class _IntegerRows(NamedTuple):
     def of(cls, sets: Sequence[Sequence[Sequence]]) -> "_IntegerRows":
         """The rows of rational point sets, over their least common
         denominator."""
-        points = [[tuple(Fraction(c) for c in p) for p in s] for s in sets]
+        points = [[tuple(_real(c) for c in p) for p in s] for s in sets]
         dim = len(points[0][0]) if points and points[0] else 0
         _check_dimension((p for s in points for p in s), dim)
         sizes = [len(s) for s in points]

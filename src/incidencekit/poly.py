@@ -162,6 +162,15 @@ def _coerce_scalar(value) -> Coef:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
+def _parts(value) -> tuple:
+    """(re, im) of a value of Q(i): a GaussianRational's parts, or a real
+    scalar as it is and the int 0, which keeps int arithmetic in ints.
+    With _real, the one reading of how a value of Q(i) is written."""
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return value, 0
+
+
 def _real(value) -> Fraction:
     """A real scalar as a Fraction: an int, a string, a Fraction, or a
     GaussianRational whose imaginary part is 0 (its real part).  ValueError
@@ -319,11 +328,7 @@ class MultiPoly:
         self._check_same_vars(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + coef
-            if s:
-                terms[exp] = s
-            else:
-                terms.pop(exp, None)
+            terms[exp] = terms.get(exp, _ZERO) + coef
         return MultiPoly(self.num_vars, terms)
 
     __radd__ = __add__
@@ -350,11 +355,7 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
+                terms[exp] = terms.get(exp, _ZERO) + c1 * c2
         return MultiPoly(self.num_vars, terms)
 
     __rmul__ = __mul__
@@ -558,9 +559,8 @@ class MultiPoly:
             lead = GaussianRational.coerce(self.leading_coef())
             monic = self * (GaussianRational(1) / lead)
             return monic if monic.is_gaussian else monic.normalized()
-        prim, _, _ = _primitive([getattr(c, "re", c) for c in self.terms.values()])
-        lead = self.leading_coef()
-        sign = -1 if getattr(lead, "re", lead) < 0 else 1
+        prim, _, _ = _primitive([_real(c) for c in self.terms.values()])
+        sign = -1 if _real(self.leading_coef()) < 0 else 1
         return MultiPoly(self.num_vars, {e: sign * w for e, w in zip(self.terms, prim)})
 
     # -- serialization ------------------------------------------------------
@@ -705,8 +705,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
             if isinstance(node.op, ast.Pow):
                 if not isinstance(right, MultiPoly) or right.total_degree > 0:
                     raise ValueError("exponent must be a constant")
-                e = right.terms.get((0,) * nv, Fraction(0))
-                e = e.re if isinstance(e, GaussianRational) else e
+                e = _real(right.terms.get((0,) * nv, _ZERO))
                 if e.denominator != 1 or e < 0:
                     raise ValueError("exponent must be a non-negative integer")
                 return left ** int(e)

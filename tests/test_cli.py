@@ -202,6 +202,22 @@ class TestPartitionFoliateBoundFit:
                             "--format", fmt, "--out", f"f_{source}.{fmt}"]) == 0
             assert Path(f"f_leaf_qi.{fmt}").read_bytes() == Path(f"f_leaf.{fmt}").read_bytes()
 
+    def test_foliate_reads_real_samples_written_in_q_i(self, ws):
+        run(["generate", "--family", "leaf", "--g", "z1^2", "--count", 3, "--out", "leaf.json"])
+        obj = json.loads(Path("leaf.json").read_text())
+        for im, name in (("0/1", "real"), ("1/2", "nonreal")):
+            samples = {k: [[{"re": c, "im": im} for c in p] for p in v]
+                       for k, v in obj["samples"].items()}
+            Path(f"{name}.json").write_text(json.dumps({**obj, "samples": samples}))
+        assert run(["foliate", "--hypersurface", "leaf.json", "--curves", "leaf.json",
+                    "--out", "f.json"]) == 0
+        assert run(["foliate", "--hypersurface", "leaf.json", "--curves", "real.json",
+                    "--out", "f_real.json"]) == 0
+        assert Path("f_real.json").read_bytes() == Path("f.json").read_bytes()
+        assert run(["foliate", "--hypersurface", "leaf.json", "--curves", "nonreal.json",
+                    "--out", "f_nonreal.json"]) == 2
+        assert not Path("f_nonreal.json").exists()
+
     def test_bound_command(self, ws):
         assert run(["bound", "--m", 54, "--n", 27, "--k", 2, "--i", 81,
                     "--out", "b.json"]) == 0
@@ -216,6 +232,22 @@ class TestPartitionFoliateBoundFit:
         obj = json.loads(Path("fit.json").read_text())
         assert abs(obj["a"] - 1.0) < 1e-6
 
+    def test_fit_rejects_m_below_one_by_name(self, ws, capsys):
+        Path("s.csv").write_text("0,1,1\n2,3,4\n5,6,7\n")
+        assert run(["fit", "--series", "s.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "m, n" in err and "SVD" not in err
+
+    def test_fit_reads_a_first_row_of_three_integers_as_data(self, ws, capsys):
+        # only a first line that does not parse as three integers is a header
+        Path("s.csv").write_text("-3,4,5\n16,81,256\n64,81,1024\n16,729,512\n")
+        assert run(["fit", "--series", "s.csv"]) == 2
+        assert "m, n" in capsys.readouterr().err
+        # three of these rows fit exactly; the fourth, written with a sign, leaves a residual
+        Path("h.csv").write_text("+16,81,250\n64,81,1024\n16,729,512\n64,729,2048\n")
+        assert run(["fit", "--series", "h.csv", "--out", "h.json"]) == 0
+        assert json.loads(Path("h.json").read_text())["residual"] > 1e-3
+
 
 INPUT_ERRORS = {
     "grid of size 0": ["generate", "--family", "grid-lines", "--n", 0],
@@ -228,6 +260,7 @@ INPUT_ERRORS = {
     "manifest without params": ["rerun", "--manifest", "noparams.manifest.json"],
     "random curves of degree 0": ["generate", "--family", "random", "--degree", 0],
     "leaf dividing by zero": ["generate", "--family", "leaf", "--g", "z1/0"],
+    "leaf with a non-real exponent": ["generate", "--family", "leaf", "--g", "z1^(2+i)"],
     "samples not a mapping": ["foliate", "--hypersurface", "leaf.json", "--curves", "listed.json"],
     "point coordinate 1/0": ["count", "g_zero_den.json"],
     "hypersurface coefficient 1/0": ["foliate", "--hypersurface", "leaf_zero_den.json",

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from incidencekit.cr import (
     CRClass,
@@ -433,3 +433,56 @@ def test_cr_identity_property(raw_terms):
         terms[(0, 1)] = GaussianRational(1)
     ok, residuals = check_cauchy_riemann(realify(ComplexCurve(MultiPoly(2, terms))))
     assert ok and all(r.is_zero for r in residuals)
+
+
+# entries of Q(i) with small and large heights and mixed denominators
+_heights = st.one_of(st.integers(-5, 5), st.integers(-2**40, 2**40))
+_entries = st.builds(
+    lambda a, b, d, e: GaussianRational(Fraction(a, d), Fraction(b, e)),
+    _heights, _heights, st.sampled_from([1, 2, 3, 7, 2**31 - 1]),
+    st.sampled_from([1, 2, 5, 3**20]),
+)
+_curve_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: sum(e) <= 3),
+    st.builds(GaussianRational, st.fractions(min_value=-9, max_value=9, max_denominator=4),
+              st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+    min_size=1, max_size=6,
+)
+
+
+def realified_map(A, t):
+    """The images of (x1, y1, x2, y2) under q -> Aq + t on C^2, read in R^4:
+    (A q)_j = sum_k a_jk z_k has real part sum Re(a_jk) x_k - Im(a_jk) y_k
+    and imaginary part sum Im(a_jk) x_k + Re(a_jk) y_k."""
+    x = [MultiPoly.variable(k, 4) for k in range(4)]
+    images = []
+    for row, shift in zip(A, t):
+        re = MultiPoly.constant(shift.re, 4)
+        im = MultiPoly.constant(shift.im, 4)
+        for k, a in enumerate(row):
+            re = re + x[2 * k] * a.re - x[2 * k + 1] * a.im
+            im = im + x[2 * k] * a.im + x[2 * k + 1] * a.re
+        images += [re, im]
+    return images
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_entries, min_size=6, max_size=6), _curve_terms)
+@example([gauss(1), gauss(0, 1, 1), gauss(0), gauss(1), gauss(0), gauss(0)],
+         {(1, 1): gauss(0, 1, 1), (0, 3): gauss(2, 3, -1, 2)})
+def test_realify_commutes_with_an_affine_map(entries, terms):
+    # realify(f o A) = realify(f) o A_R, term for term, for f in (z1, z2)
+    # and an invertible affine map A of C^2 over Q(i), where A_R is the same
+    # map of R^4 = C^2
+    a, b, c, d, t1, t2 = entries
+    assume(a * d - b * c)
+    f = MultiPoly(2, terms)
+    assume(not f.is_zero)
+    z1, z2 = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    moved = f.substitute([z1 * a + z2 * b + t1, z1 * c + z2 * d + t2])
+    images = realified_map(((a, b), (c, d)), (t1, t2))
+    got, pair = realify(moved), realify(f)
+    for part in ("u", "v"):
+        g, w = getattr(got, part), getattr(pair, part).substitute(images)
+        assert g.terms == w.terms, part
+        assert {type(x) for x in g.terms.values()} <= {Fraction}

@@ -706,6 +706,14 @@ class TestContainment:
         line = ComplexCurve(MultiPoly.variable(1, 2) - Z1)
         assert containment_check(Z, line).status == "false"
 
+    def test_graph_of_zero_is_decided(self):
+        # z2 = 0 is the graph of g = 0; realify(0) is the zero pair, so
+        # the residual is P(x1, y1, 0, 0)
+        line = ComplexCurve(MultiPoly.variable(1, 2))
+        assert containment_check(Hypersurface(Y2), line).status == "true"
+        result = containment_check(Hypersurface(Y2 - Y1), line)
+        assert result.status == "false" and result.residual == -Y1
+
     def test_non_graph_curve_unknown(self):
         Z = Hypersurface(Y2 - Y1)
         # z1*z2 - 1 is not solvable as z2 = g(z1) polynomially

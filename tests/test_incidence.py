@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -309,6 +310,22 @@ def moved_configuration(config, A, t):
     return Configuration.build("C2", points, curves)
 
 
+def certify_base():
+    """affine_base with one more curve, L z2 + (z1 - a0)(z1 - a1), which meets
+    a line L of the base at two of its points (a0, b0), (a1, b1): the (k, s)
+    in CERTIFY_CASES then give point-subset and curve-pair witnesses and
+    certificates."""
+    base, _ = affine_base()
+    rows = build_matrix(base).curve_rows()
+    j = next(j for j, r in enumerate(rows) if len(r) >= 2 and base.curves[j].total_degree == 1)
+    (a0, _), (a1, _) = (base.points[i] for i in rows[j][:2])
+    extra = base.curves[j] * Z2 + (Z1 - MultiPoly.constant(a0, 2)) * (Z1 - MultiPoly.constant(a1, 2))
+    return Configuration.build("C2", base.points, [*base.curves, extra])
+
+
+CERTIFY_CASES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
 class TestAffineInvariance:
     """An invertible affine map of C^2 over Q(i) moves points and curves
     together, so it keeps every incidence, through the filter, the exact
@@ -335,6 +352,29 @@ class TestAffineInvariance:
         assert (moved.m, moved.n) == (base.m, base.n)
         assert build_matrix(moved, cross_check_embedding=True).incidences == expected
         assert set(filter_candidates(moved)) >= expected
+
+    def test_certify_base_has_every_kind_of_answer(self):
+        M = build_matrix(certify_base())
+        answers = {(c.status, c.witness and c.witness[0])
+                   for c in (certify_dof(M, k, s) for k, s in CERTIFY_CASES)}
+        assert answers == {("violated", "point-subset"), ("violated", "curve-pair"),
+                           ("certified", None)}
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_map_entries, min_size=6, max_size=6))
+    def test_certificates_survive_an_affine_map(self, entries):
+        # the moved configuration, written out and read back, certifies alike:
+        # the same status and witness for every (k, s)
+        a, b, c, d, t1, t2 = entries
+        assume(a * d - b * c)
+        base = certify_base()
+        moved = Configuration.from_json(
+            moved_configuration(base, ((a, b), (c, d)), (t1, t2)).to_json())
+        M, M_moved = build_matrix(base), build_matrix(moved, cross_check_embedding=True)
+        for k, s in CERTIFY_CASES:
+            want, got = certify_dof(M, k, s), certify_dof(M_moved, k, s)
+            assert (got.status, got.witness) == (want.status, want.witness), (k, s)
 
 
 class TestRowsBuiltOnce:
@@ -643,6 +683,15 @@ class TestExponentFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             exponent_fit([(1, 1, 1), (2, 2, 2)])
+
+    @pytest.mark.parametrize("row", [(0, 1, 1), (-3, 4, 5), (2, 0, 4), (5, -6, 7)])
+    def test_m_and_n_below_one_are_rejected_before_numpy(self, row):
+        # log(0) and log of a negative number would reach LAPACK as nan or -inf
+        series = [row, (2, 3, 4), (5, 6, 7), (8, 9, 10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="m, n"):
+                exponent_fit(series)
 
 
 class TestProjectGeneric:

@@ -172,3 +172,19 @@ def test_integer_questions_read_the_integer_sum():
                 if any(_calls(n, "evaluate") for a in node.args for n in ast.walk(a)):
                     found.append(f"{path.name}:{node.lineno} _primitive of evaluate(...) values")
     assert not found, f"integer questions answered through Fractions: {found}"
+
+
+def test_only_poly_reads_parts_of_q_i():
+    # poly knows how a value of Q(i) is written: every (re, im) split outside
+    # it goes through poly._parts, and every real input through poly._real
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("re", "im"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif _calls(node, "getattr") and any(
+                    isinstance(a, ast.Constant) and a.value in ("re", "im") for a in node.args):
+                found.append(f"{path.name}:{node.lineno} getattr")
+    assert not found, f"values of Q(i) split outside poly: {found}"
