@@ -23,7 +23,6 @@ from incidencekit.poly import GaussianRational, MultiPoly, parse_poly
 
 X1, Y1, X2, Y2 = (MultiPoly.variable(k, 4) for k in range(4))
 Z1, Z2 = (MultiPoly.variable(k, 2) for k in range(2))
-X, Y = Z1, Z2
 
 
 def written(x, kind):
@@ -62,7 +61,7 @@ ENTRY_POINTS = {
     "iota_inv": lambda kind: iota_inv(point(POINTS_4[2], kind)),
     "project_generic": lambda kind: project_generic([point(p, kind) for p in POINTS_4], seed=1),
     "Configuration.build R2": lambda kind: Configuration.build(
-        "R2", [point(p, kind) for p in POINTS_2], [X + Y - 1, X - Y * Y]),
+        "R2", [point(p, kind) for p in POINTS_2], [Z1 + Z2 - 1, Z1 - Z2 * Z2]),
     "veronese_lift": lambda kind: veronese_lift(point((Fraction(1, 2), -3), kind), 3),
     "hyperplane_poly": lambda kind: hyperplane_poly(point((-1, 0, Fraction(2, 3), 5), kind), 2, 1),
     "ham_sandwich_bisect": lambda kind: ham_sandwich_bisect(
