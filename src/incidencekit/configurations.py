@@ -186,7 +186,7 @@ def gen_complex_lines_product(size_a: int, size_b: int, seed: int = 0) -> Config
             slope = (q[1] - p[1]) / (q[0] - p[0])
             intercept = p[1] - slope * p[0]
             line = z2 - MultiPoly.constant(slope, 2) * z1 - MultiPoly.constant(intercept, 2)
-            key = line.normalized()
+            key = line._key()
             if key in seen:
                 continue
             seen.add(key)
@@ -297,7 +297,7 @@ def gen_random(n_points: int, n_curves: int, degree: int, seed: int = 0) -> Conf
         poly = MultiPoly(2, terms)
         if poly.is_zero or poly.total_degree < 1:
             continue
-        key = poly.normalized()
+        key = poly._key()
         if key in seen_c:
             continue
         seen_c.add(key)

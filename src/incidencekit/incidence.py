@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .cr import iota, realify
-from .poly import (GaussianRational, MultiPoly, _parts, _point_row, _real, _vanishes,
-                   coef_from_obj, coef_to_obj)
+from .poly import (GaussianRational, MultiPoly, _point_row, _real, _vanishes, coef_from_obj,
+                   coef_to_obj)
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -58,7 +58,7 @@ class Configuration:
                 raise ValueError("curves must be nonzero")
             if c.num_vars != 2:
                 raise ValueError("curves are plane curves in 2 variables")
-            key = c.normalized()
+            key = c._key()
             if key not in seen_curves:
                 seen_curves.add(key)
                 cvs.append(c)
@@ -134,18 +134,6 @@ class IncidenceMatrix:
 # squares to -1.
 FILTER_PRIME = 2_147_483_629
 FILTER_SQRT_M1 = pow(2, (FILTER_PRIME - 1) // 4, FILTER_PRIME)
-
-
-def residue(value) -> int | None:
-    """Image of a rational or Gaussian rational under the ring map
-    Z_(p)[i] -> F_p, i -> FILTER_SQRT_M1; None when a denominator is
-    divisible by p (the value lies outside Z_(p)[i])."""
-    re, im = _parts(value)
-    den = re.denominator * im.denominator
-    if den % FILTER_PRIME == 0:
-        return None
-    num = re.numerator * im.denominator + im.numerator * re.denominator * FILTER_SQRT_M1
-    return num * pow(den, -1, FILTER_PRIME) % FILTER_PRIME
 
 
 def filter_candidates(config: Configuration, _rows: list | None = None) -> list[tuple[int, int]]:

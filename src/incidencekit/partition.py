@@ -470,6 +470,7 @@ def ham_sandwich_bisect(
     sweeps the same rows.  The descent's floats are the correctly rounded
     ratios row/D, the same floats as those of the rational coordinates.
     Every step depends only on these ratios, so any D gives the same cut.
+    A ratio beyond the float range raises ValueError.
     """
     started = time.perf_counter()
     if isinstance(sets, _IntegerRows):
@@ -483,13 +484,16 @@ def ham_sandwich_bisect(
     # but the exact offset scan can still find one (interleaved sets); let
     # the restart budget decide instead of rejecting up front
     targets = [-(-len(s) // 2) for s in rows]  # ceil(n/2)
-    arrays = [
-        np.array([[x / den for x in q] for q in s], dtype=float)
-        if s
-        else np.zeros((0, dim + 1))
-        for s in rows
-    ]
-    extent = max((abs(x) for s in rows for q in s for x in q), default=den) / den
+    try:
+        arrays = [
+            np.array([[x / den for x in q] for q in s], dtype=float)
+            if s
+            else np.zeros((0, dim + 1))
+            for s in rows
+        ]
+        extent = max((abs(x) for s in rows for q in s for x in q), default=den) / den
+    except OverflowError:
+        raise ValueError("a coordinate is too large for the descent's floats") from None
     sigma_schedule = [extent * s for s in (0.5, 0.1, 0.02, 0.004)]
 
     rng = np.random.default_rng(seed)
@@ -727,10 +731,10 @@ def sign_class(point: Sequence, result: PartitionResult) -> tuple[int, ...]:
 @dataclass
 class CrossingReport:
     contained: bool
-    exact: bool  # exact root isolation (lines) vs sampled lower bound
-    segments: int  # root count + 1 along the curve (exact mode)
+    exact: bool  # True: every report comes from exact root isolation
+    segments: int  # root count + 1 along the line
     classes_visited: int
-    bound: int | None = None  # deg(product) + 1 in exact mode
+    bound: int | None = None  # deg(product) + 1
 
 
 def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
@@ -845,16 +849,3 @@ def _gap_samples(intervals) -> list[Fraction]:
         samples.append((hi1 + lo2) / 2)
     samples.append(intervals[-1][1] + 1)
     return samples
-
-
-def sampled_crossings(
-    points: Sequence[Sequence], result: PartitionResult
-) -> CrossingReport:
-    """Lower bound on classes visited by a parametrized curve: distinct sign
-    vectors over the supplied exact sample points (zero signs excluded)."""
-    seen = set()
-    for p in points:
-        vec = sign_class(p, result)
-        if 0 not in vec:
-            seen.add(vec)
-    return CrossingReport(False, False, len(seen), len(seen))

@@ -545,23 +545,23 @@ class MultiPoly:
                     rem_terms.pop(exp, None)
         return MultiPoly(self.num_vars, quot)
 
-    # -- normalization -----------------------------------------------------
+    # -- canonical key -------------------------------------------------------
 
-    def normalized(self) -> "MultiPoly":
-        """Scalar-canonical form: content cleared, leading coefficient made 1
-        (Gaussian case) or positive with coprime integer coefficients
-        (rational case, also for a Gaussian multiple of a rational
-        polynomial, whose monic form is rational).  Used for curve
-        deduplication and hashing; plain arithmetic never normalizes."""
-        if self.is_zero:
-            return self
-        if self.is_gaussian:
-            lead = GaussianRational.coerce(self.leading_coef())
-            monic = self * (GaussianRational(1) / lead)
-            return monic if monic.is_gaussian else monic.normalized()
-        prim, _, _ = _primitive([_real(c) for c in self.terms.values()])
-        sign = -1 if _real(self.leading_coef()) < 0 else 1
-        return MultiPoly(self.num_vars, {e: sign * w for e, w in zip(self.terms, prim)})
+    def _key(self) -> frozenset:
+        """The curve de-duplication key: equal for f and c*f, c != 0 in Q(i),
+        and only for them.  Each Gaussian integer re + im*i of
+        `_integer_terms` times the conjugate a - b*i of the leading term's
+        (graded lex), all parts over their gcd, as a set of (homogenised
+        exponent, re, im).  The coefficients of c*f there are m times those
+        of f for some m in Q(i), so the products are |m|^2 times f's and
+        the primitive result is the same; for a rational f it is f's
+        primitive form with a positive leading coefficient.  Nonzero
+        polynomials only."""
+        terms = self._integer_terms()[1]
+        _, a, b = max(terms, key=lambda t: (-t[0][-1], t[0]))
+        rows = [(exp, re * a + im * b, im * a - re * b) for exp, re, im in terms]
+        g = gcd(*[x for _, re, im in rows for x in (re, im)])
+        return frozenset((exp, re // g, im // g) for exp, re, im in rows)
 
     # -- serialization ------------------------------------------------------
 

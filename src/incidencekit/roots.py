@@ -51,7 +51,7 @@ def _derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _strip([Fraction(c) for c in a]), _strip([Fraction(c) for c in b])
+    a, b = _strip([_real(c) for c in a]), _strip([_real(c) for c in b])
     while b:
         _, r = _poly_div(a, b)
         a, b = b, r
@@ -62,7 +62,7 @@ def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    coeffs = _strip([Fraction(c) for c in coeffs])
+    coeffs = _strip([_real(c) for c in coeffs])
     if len(coeffs) <= 1:
         return coeffs
     g = poly_gcd(coeffs, _derivative(coeffs))
@@ -74,7 +74,7 @@ def squarefree_part(coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    p0 = [Fraction(c) for c in _primitive(_strip(list(coeffs)))[0]]
+    p0 = [Fraction(c) for c in _primitive(_strip([_real(c) for c in coeffs]))[0]]
     chain = [p0, _strip(_derivative(p0))]
     while chain[-1]:
         _, r = _poly_div(chain[-2], chain[-1])
@@ -103,7 +103,7 @@ def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
 
 
 def cauchy_root_bound(coeffs: Sequence[Fraction]) -> Fraction:
-    coeffs = _strip([Fraction(c) for c in coeffs])
+    coeffs = _strip([_real(c) for c in coeffs])
     if len(coeffs) <= 1:
         return Fraction(1)
     lead = abs(coeffs[-1])

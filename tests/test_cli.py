@@ -265,6 +265,7 @@ INPUT_ERRORS = {
     "point coordinate 1/0": ["count", "g_zero_den.json"],
     "hypersurface coefficient 1/0": ["foliate", "--hypersurface", "leaf_zero_den.json",
                                      "--curves", "leaf.json"],
+    "partition coordinate 10^400": ["partition", "huge.json", "--r", 2],
 }
 
 
@@ -284,6 +285,10 @@ class TestInputErrors:
         Path("g_zero_den.json").write_text(json.dumps(grid))
         leaf["hypersurface"]["terms"][0]["coef"] = "1/0"
         Path("leaf_zero_den.json").write_text(json.dumps(leaf))
+        run(["generate", "--family", "random", "--out", "r.json"])
+        huge = json.loads(Path("r.json").read_text())
+        huge["points"][0][0] = f"{10**400}/1"  # beyond the float range
+        Path("huge.json").write_text(json.dumps(huge))
         Path("noparams.manifest.json").write_text(json.dumps(
             {"command": "count", "inputs": [], "outputs": ["c.json"]}))
 

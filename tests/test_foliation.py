@@ -2,9 +2,12 @@
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from incidencekit import foliation
 from incidencekit.configurations import gen_leaf_family, rational_sphere_points
@@ -775,3 +778,130 @@ def test_curves_c2_diagnostics_digest():
                         got = exact_outcome(lambda: bracket_defect(Z, p, i, j))
                         h.update(f"{p} {i} {j} {got}\n".encode())
     assert h.hexdigest() == CURVES_C2_DIGEST
+
+
+# -- the leaf diagnostics under invertible affine maps of C^2 ------------------
+
+Z2 = MultiPoly.variable(1, 2)
+BOWL = Y2 - X1 * X1 - Y1 * Y1  # Im z2 = |z1|^2: lambda != 0 everywhere
+QUARTIC = Y2 - (X1 * X1 + Y1 * Y1) ** 2  # Im z2 = |z1|^4: lambda = 0 iff z1 = 0
+FLAT = Y2 - X1 * Y1 * 2  # Im(z2 - z1^2), foliated by z2 = z1^2 + c, c real
+CONE = X1 * X1 + Y1 * Y1 - X2 * X2 - Y2 * Y2  # |z1| = |z2|, singular at 0
+# (P, points): a defect that is zero and nonzero on QUARTIC, nonzero on
+# BOWL, zero on FLAT and the cone, and points off Z(P) or singular on it
+DEFECT_CASES = [
+    (BOWL, [(1, 2, 3, 5), (Fraction(1, 2), 0, -1, Fraction(1, 4)), (0, 0, 0, 1)]),
+    (QUARTIC, [(0, 0, 3, 0), (1, Fraction(1, 2), 0, Fraction(25, 16)), (1, 0, 0, 1)]),
+    (FLAT, [(1, 2, 5, 4), (Fraction(-1, 3), 3, 0, -2)]),
+    (CONE, [(3, 4, 5, 0), (0, 0, 0, 0)]),
+]
+# (P, curve f, samples as points of C^2): a pass, a fail, and a skip of each kind
+TANGENCY_CASES = [
+    (FLAT, Z2 - Z1 * Z1 - 2, [(GaussianRational(1, 1), GaussianRational(2, 2)),
+                              (Fraction(1, 2), Fraction(9, 4)), (1, 4)]),
+    (FLAT, Z2 - Z1 * 2, [(0, 0), (1, 2)]),
+    (BOWL, Z2 - Z1, [(0, 0), (1, 1)]),
+    (BOWL, Z2 * Z2 - Z1**3, [(0, 0)]),
+    (CONE, Z2 - Z1, [(0, 0), (GaussianRational(3, 4), GaussianRational(3, 4))]),
+]
+
+_affine_entries = st.builds(
+    lambda a, b, d, e: GaussianRational(Fraction(a, d), Fraction(b, e)),
+    st.integers(-5, 5), st.integers(-5, 5), st.sampled_from([1, 2, 3, 7]),
+    st.sampled_from([1, 2, 5]),
+)
+
+
+class AffineMap:
+    """F(q) = A q + t on C^2 over Q(i), A invertible, acting on points of
+    R^4 = C^2, and by pullback along F^-1 on hypersurfaces and curves: F(p)
+    lies on a moved object exactly when p lies on the object."""
+
+    def __init__(self, entries):
+        a, b, c, d, t1, t2 = entries
+        self.A, self.t = ((a, b), (c, d)), (t1, t2)
+        det = a * d - b * c
+        inverse = ((d / det, -b / det), (-c / det, a / det))
+        shift = [-(row[0] * t1 + row[1] * t2) for row in inverse]
+        self.complex_images = [Z1 * row[0] + Z2 * row[1] + MultiPoly.constant(s, 2)
+                               for row, s in zip(inverse, shift)]
+        x = (X1, Y1, X2, Y2)
+        self.real_images = [
+            sum((v * m for v, m in zip(x, row)), MultiPoly.constant(s, 4))
+            for row, s in zip(realified(inverse), iota(shift))]
+
+    def point(self, p):
+        q = iota_inv(p)
+        return iota([row[0] * q[0] + row[1] * q[1] + tk for row, tk in zip(self.A, self.t)])
+
+    def hypersurface(self, P):
+        return Hypersurface(P.substitute(self.real_images))
+
+    def curve(self, f):
+        return ComplexCurve(f.substitute(self.complex_images))
+
+
+def defect_answer(Z, p):
+    """Whether the bracket defect at p is zero, or the error it raises."""
+    try:
+        return bracket_defect(Z, p).raw == 0
+    except ValueError as exc:
+        return type(exc)
+
+
+def tangency_answers(Z, curve, samples):
+    """(status, reason) per sample, with the point in a reason left out."""
+    return [(r.status, re.sub(r"\(.*\)", "", r.reason))
+            for r in leaf_tangency_check(Z, curve, samples)]
+
+
+def tangency_base():
+    return [(Hypersurface(P), ComplexCurve(f), [iota(q) for q in samples])
+            for P, f, samples in TANGENCY_CASES]
+
+
+class TestAffineInvariance:
+    """An invertible affine map of C^2 over Q(i) is a real-affine map A_R of
+    R^4 with A_R J = J A_R.  It carries tangent planes and E_p along, so leaf
+    tangency keeps its status, and it scales the Levi form by a nonzero
+    factor, so the bracket defect stays zero exactly where it was."""
+
+    def test_base_has_every_kind_of_answer(self):
+        defects = [defect_answer(Hypersurface(P), p) for P, pts in DEFECT_CASES for p in pts]
+        assert defects == [False, False, ValueError, True, False, False,
+                           True, True, True, SingularPointError]
+        answers = [a for Z, curve, samples in tangency_base()
+                   for a in tangency_answers(Z, curve, samples)]
+        assert answers == [
+            ("pass", ""), ("pass", ""), ("skip", "point not on the curve"),
+            ("fail", "tangent plane differs from E_p"), ("pass", ""),
+            ("fail", "tangent plane differs from E_p"),
+            ("skip", "point  is not on the hypersurface"),
+            ("skip", "curve not regular at point"),
+            ("skip", "gradient vanishes at "), ("pass", "")]
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_affine_entries, min_size=6, max_size=6))
+    @example([GaussianRational(0), GaussianRational(1), GaussianRational(1),
+              GaussianRational(0), GaussianRational(0), GaussianRational(0)])
+    def test_bracket_defect_is_zero_where_it_was(self, entries):
+        a, b, c, d = entries[:4]
+        assume(a * d - b * c)
+        F = AffineMap(entries)
+        for P, pts in DEFECT_CASES:
+            Z, Z_moved = Hypersurface(P), F.hypersurface(P)
+            for p in pts:
+                assert defect_answer(Z_moved, F.point(p)) == defect_answer(Z, p), (P, p)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_affine_entries, min_size=6, max_size=6))
+    def test_leaf_tangency_keeps_its_status(self, entries):
+        a, b, c, d = entries[:4]
+        assume(a * d - b * c)
+        F = AffineMap(entries)
+        for (Z, curve, samples), (P, f, _) in zip(tangency_base(), TANGENCY_CASES):
+            moved = tangency_answers(F.hypersurface(P), F.curve(f),
+                                     [F.point(p) for p in samples])
+            assert moved == tangency_answers(Z, curve, samples), (P, f)

@@ -29,7 +29,6 @@ from incidencekit.partition import (
     min_lift_degree,
     monomial_exponents,
     polynomial_partition,
-    sampled_crossings,
     sign_class,
     stage_schedule,
     veronese_lift,
@@ -816,12 +815,6 @@ class TestCrossings:
         assert crossings_on_y0(x * x - two, x * x - two - tiny) == 5
         # the exact root 0 against +-2^-40.5, which isolate next to it
         assert crossings_on_y0(x, x * x - tiny * Fraction(1, 2**11)) == 4
-
-    def test_sampled_crossings_lower_bound(self, partition64):
-        pts = uniform_points(40, seed=77)
-        report = sampled_crossings(pts, partition64)
-        assert not report.exact
-        assert report.classes_visited <= len(partition64.occupancy)
 
 
 def product_crossings(line, result):

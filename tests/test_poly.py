@@ -424,14 +424,16 @@ class TestSerialization:
         assert obj["field"] == "Q"
 
 
-class TestNormalized:
-    def test_cleared_content_positive_leading(self):
+class TestKey:
+    def test_primitive_form_with_positive_leading_coefficient(self):
         x = MultiPoly.variable(0, 1)
         p = x * Fraction(-4, 6) + MultiPoly.constant(Fraction(2, 3), 1)
-        q = p.normalized()
-        assert q.leading_coef() > 0
-        # scalar multiples collapse to the same normal form
-        assert (p * Fraction(7, 3)).normalized() == q
+        # x - 1 over the homogenised exponents (x, 1)
+        assert p._key() == {((1, 0), 1, 0), ((0, 1), -1, 0)}
+        # scalar multiples over Q and Q(i) share the key
+        for c in (Fraction(7, 3), GaussianRational(2, -1), I_UNIT):
+            assert (p * c)._key() == p._key()
+        assert (p + x)._key() != p._key()
 
 
 # The denominator and content clearings that poly._integer_form and
@@ -480,7 +482,8 @@ def old_sturm_chain(coeffs):
 
 
 def old_normalized(p):
-    # MultiPoly.normalized with its own Fraction(lcm, gcd) scale
+    # the scalar-canonical form (monic, or primitive with a positive leading
+    # coefficient) that de-duplicated curves before MultiPoly._key
     if p.is_zero:
         return p
     if p.is_gaussian:
@@ -547,20 +550,35 @@ class TestIntegerForm:
                 values.append(rng.choice((re, GaussianRational(re, 0), GaussianRational(re, im))))
             assert typed(_integer_parts(values)) == typed(old_integer_parts(values))
 
-    def test_normalized_matches_the_old_scale(self):
+    def test_key_equality_matches_old_normalized(self):
+        # two polynomials share a key exactly when old_normalized makes them
+        # equal, over seeded bases and their multiples: rational and Gaussian
+        # bases, rational ones written in Q(i), negative leading coefficients,
+        # and constants, which are all one curve per variable count
         rng = random.Random(20)
-        for k in range(200):
-            p = rand_poly(rng, rng.randrange(1, 4), rng.randrange(0, 4), gaussian=k % 4 == 3)
-            if k % 4 == 1 and not p.is_zero:
-                # a negative leading coefficient
-                p = p * (-1 if p.leading_coef() > 0 else 1)
-            if k % 4 == 2:
-                # a rational polynomial written in Q(i), or a Q(i) multiple of one
-                p = p * rng.choice((GaussianRational(Fraction(-3, 5)), GaussianRational(2, -1)))
-            new, old = p.normalized(), old_normalized(p)
-            assert new == old
-            assert typed_terms(new) == typed_terms(old)
-            assert new.to_json() == old.to_json()
+        multipliers = (Fraction(-7, 3), GaussianRational(Fraction(-3, 5)), I_UNIT,
+                       GaussianRational(2, -1), GaussianRational(3, -4))
+        pool = []
+        for k in range(48):
+            p = rand_poly(rng, rng.randrange(1, 3), rng.randrange(0, 3),
+                          density=rng.randrange(1, 4), gaussian=k % 3 == 2)
+            if p.is_zero:
+                continue
+            if k % 3 == 1:
+                p = MultiPoly(p.num_vars, {e: GaussianRational(c) for e, c in p.terms.items()})
+            lead = p.leading_coef()
+            if k % 2 and (lead.re if isinstance(lead, GaussianRational) else lead) > 0:
+                p = -p
+            pool += [p] + [p * c for c in multipliers]
+        assert len(pool) >= 200
+        keys = [p._key() for p in pool]
+        olds = [old_normalized(p) for p in pool]
+        shared = 0
+        for j in range(len(pool)):
+            for k in range(j):
+                assert (keys[j] == keys[k]) == (olds[j] == olds[k]), (pool[j], pool[k])
+                shared += keys[j] == keys[k] and j // 6 != k // 6
+        assert shared  # some bases are multiples of one another
 
     def test_sturm_chain_matches_the_old_content_clearing(self):
         rng = random.Random(21)

@@ -20,6 +20,7 @@ from incidencekit.foliation import (
 from incidencekit.incidence import Configuration, project_generic
 from incidencekit.partition import ham_sandwich_bisect, hyperplane_poly, veronese_lift
 from incidencekit.poly import GaussianRational, MultiPoly, parse_poly
+from incidencekit.roots import cauchy_root_bound, poly_gcd, squarefree_part, sturm_chain
 
 X1, Y1, X2, Y2 = (MultiPoly.variable(k, 4) for k in range(4))
 Z1, Z2 = (MultiPoly.variable(k, 2) for k in range(2))
@@ -47,6 +48,9 @@ ON_LEAF = leaf_sample_points(Z1 * Z1, Fraction(2),
 POINTS_4 = [(1, 0, 0, 0), (0, 1, 0, 0), (Fraction(1, 2), -3, 7, Fraction(2, 9))]
 POINTS_2 = [(0, 0), (1, Fraction(1, 3)), (-2, 5), (Fraction(7, 4), -1)]
 SETS = [[(-3, 1), (1, 2), (2, -1), (0, 0)], [(1, 1), (-1, 4), (Fraction(5, 2), 0)]]
+# x^2 - 2, and its product with x + 1, as ascending coefficient lists
+QUADRATIC = (-2, 0, 1)
+CUBIC = (-2, -2, 1, 1)
 # 2, written as a Fraction, as the Gaussian rational -2*i*i = 2 + 0i, or as 2 + i
 EXPONENT = {"Q": "2", "Q(i)": "(-2*i*i)", "non-real": "(2+i)"}
 
@@ -67,6 +71,10 @@ ENTRY_POINTS = {
     "ham_sandwich_bisect": lambda kind: ham_sandwich_bisect(
         [[point(p, kind) for p in s] for s in SETS], restarts=20, seed=3),
     "parse_poly exponent": lambda kind: parse_poly(f"z1^{EXPONENT[kind]}", ["z1"]),
+    "sturm_chain": lambda kind: sturm_chain(point(QUADRATIC, kind)),
+    "cauchy_root_bound": lambda kind: cauchy_root_bound(point(QUADRATIC, kind)),
+    "poly_gcd": lambda kind: poly_gcd(point(CUBIC, kind), point(QUADRATIC, kind)),
+    "squarefree_part": lambda kind: squarefree_part(point(QUADRATIC, kind)),
 }
 
 
