@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
@@ -50,6 +51,12 @@ class RealPair:
         if self.u.num_vars != 4 or self.v.num_vars != 4:
             raise ValueError("real pair lives in (x1, y1, x2, y2)")
 
+    @cached_property
+    def gradients(self) -> tuple[tuple, tuple]:
+        """(grad u, grad v): the four partials of u and of v, built once."""
+        return (tuple(self.u.partial(k) for k in range(4)),
+                tuple(self.v.partial(k) for k in range(4)))
+
 
 def iota(point: Sequence) -> tuple:
     """(z1, z2) -> (Re z1, Im z1, Re z2, Im z2); a real coordinate is its own
@@ -71,8 +78,14 @@ def realify(curve: ComplexCurve | MultiPoly) -> RealPair:
     c C(a,k) C(b,l) i^(k+l) x1^(a-k) y1^k x2^(b-l) y2^l, and the exponent
     (a-k, k, b-l, l) names its (a, b, k, l), so no two products share a
     monomial: each is a coefficient of u or v as it stands.
+
+    The pair is built once per polynomial and kept on it (the `_real_pair`
+    slot of MultiPoly), so later calls return the same u and v, whose
+    integer forms and gradients are then built once too.
     """
     f = curve.f if isinstance(curve, ComplexCurve) else curve
+    if f._real_pair is not None:
+        return f._real_pair
     if f.num_vars != 2:
         raise ValueError("expected a polynomial in (z1, z2)")
     u_terms, v_terms = {}, {}
@@ -89,7 +102,8 @@ def realify(curve: ComplexCurve | MultiPoly) -> RealPair:
                     u_terms[exp] = c_re * binom
                 if c_im:
                     v_terms[exp] = c_im * binom
-    return RealPair(MultiPoly(4, u_terms), MultiPoly(4, v_terms))
+    object.__setattr__(f, "_real_pair", RealPair(MultiPoly(4, u_terms), MultiPoly(4, v_terms)))
+    return f._real_pair
 
 
 def check_cauchy_riemann(pair: RealPair) -> tuple[bool, list[MultiPoly]]:

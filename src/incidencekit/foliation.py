@@ -315,8 +315,7 @@ def leaf_tangency_check(
     [grad u; grad v] and [grad P(p); J grad P(p)], each row scaled to its
     primitive integer multiple."""
     pair = realify(curve)
-    du = [pair.u.partial(k) for k in range(4)]
-    dv = [pair.v.partial(k) for k in range(4)]
+    du, dv = pair.gradients
     records = []
     for raw in samples:
         p = tuple(_real(c) for c in raw)

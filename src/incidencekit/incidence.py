@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .cr import iota, realify
-from .poly import (GaussianRational, MultiPoly, _point_row, _real, _vanishes, coef_from_obj,
-                   coef_to_obj)
+from .poly import (GaussianRational, MultiPoly, _point_row, _real, _real_row, _vanishes,
+                   coef_from_obj, coef_to_obj)
 
 SUBSET_TABLE_CAP = 10**7
 BOUND_PRECISION_DPS = 30  # ~100-bit significand, above the 64-bit floor
@@ -180,7 +180,9 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
     """Exact vanishing test on every pair the modular filter lets through
     (see filter_candidates); optionally cross-checks every confirmed complex
     incidence through the R^4 embedding.  Each point's row is built once:
-    the filter reads it, and it seeds the point's evaluation cache."""
+    the filter reads it, and it seeds the point's evaluation cache and, as
+    `poly._real_row`, that of its image in R^4.  Each curve's realification
+    is kept on the curve (`cr.realify`), so repeated calls expand it once."""
     rows = [_point_row(pt) for pt in config.points]
     candidates = filter_candidates(config, _rows=rows)
     pairs = set()
@@ -197,6 +199,8 @@ def build_matrix(config: Configuration, cross_check_embedding: bool = False) -> 
         if config.curves[j].evaluate(p, _cache=cache):
             continue
         if check:
+            if None not in cache4:
+                cache4[None] = _real_row(rows[i])
             if j not in embedded:
                 embedded[j] = realify(config.curves[j])
             q = iota(p)
@@ -237,11 +241,34 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
     curve through a point -> curves index, which costs the sum of squared
     point degrees rather than one intersection per pair.  The first violation
     in deterministic (curve index, subset lex) order is returned as a
-    witness.  Past SUBSET_TABLE_CAP table entries the answer is
-    "indeterminate"."""
+    witness, condition 1's before condition 2's.  Past SUBSET_TABLE_CAP table
+    entries the answer is "indeterminate".
+
+    For k > s condition 2 implies condition 1: a k-subset on s + 1 curves
+    makes two of them share k > s points.  So condition 2 runs first, and the
+    table is built only when it fails, for the witness it would have given."""
     if k < 1 or s < 1:
         raise ValueError("k and s must be positive")
     rows = M.curve_rows()
+    if k <= s:
+        return (_subset_violation(rows, k, s) or _pair_violation(rows, k, s)
+                or DofCertificate(k, s, "certified"))
+    pair_violation = _pair_violation(rows, k, s)
+    if pair_violation is not None:
+        return _subset_violation(rows, k, s) or pair_violation
+    if sum(comb(len(row), k) for row in rows) > SUBSET_TABLE_CAP:
+        return _indeterminate(k, s)
+    return DofCertificate(k, s, "certified")
+
+
+def _indeterminate(k: int, s: int) -> DofCertificate:
+    return DofCertificate(k, s, "indeterminate",
+                          detail=f"k-subset table exceeded cap {SUBSET_TABLE_CAP}")
+
+
+def _subset_violation(rows: list[tuple], k: int, s: int) -> DofCertificate | None:
+    """Condition 1's first violation, or "indeterminate" once the table
+    passes SUBSET_TABLE_CAP entries; None if neither happens."""
     table: dict[tuple, int] = {}
     entries = 0
     for j, row in enumerate(rows):
@@ -250,10 +277,7 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
         n_subsets = comb(len(row), k)
         entries += n_subsets
         if entries > SUBSET_TABLE_CAP:
-            return DofCertificate(
-                k, s, "indeterminate",
-                detail=f"k-subset table exceeded cap {SUBSET_TABLE_CAP}",
-            )
+            return _indeterminate(k, s)
         for subset in itertools.combinations(row, k):
             count = table[subset] = table.get(subset, 0) + 1
             if count > s:
@@ -263,6 +287,11 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
                     witness=("point-subset", subset, curves_here),
                     detail=f"{count} curves through one {k}-subset",
                 )
+    return None
+
+
+def _pair_violation(rows: list[tuple], k: int, s: int) -> DofCertificate | None:
+    """Condition 2's first violation, or None."""
     point_curves: dict[int, list[int]] = {}
     for j, row in enumerate(rows):
         for i in row:
@@ -279,7 +308,7 @@ def certify_dof(M: IncidenceMatrix, k: int, s: int) -> DofCertificate:
                 witness=("curve-pair", (j1, j2), tuple(shared)),
                 detail=f"curves share {len(shared)} incident points",
             )
-    return DofCertificate(k, s, "certified")
+    return None
 
 
 @dataclass(frozen=True)

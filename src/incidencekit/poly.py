@@ -22,6 +22,12 @@ from typing import Iterable, Mapping, Sequence, Union
 
 _ZERO = Fraction(0)
 
+# The largest total degree, and so exponent, of a polynomial read from input
+# (`MultiPoly.from_obj`, `parse_poly`): evaluation and the modular filter take
+# one product per unit of the degree at each monomial, and substitution one
+# per unit of an exponent, so a degree like 2^70 would never finish.
+_DEGREE_LIMIT = 10_000
+
 
 class GaussianRational:
     """Exact complex number re + im*i with rational re, im."""
@@ -217,6 +223,14 @@ def _point_row(point: Sequence[Scalar]) -> tuple[list, set]:
     return coords + [(den, 0)], {k for k, x in enumerate(point) if isinstance(x, GaussianRational)}
 
 
+def _real_row(point_row: tuple[list, set]) -> tuple[list, set]:
+    """`_point_row` of the real point (Re x_1, Im x_1, ..., Re x_n, Im x_n),
+    read from the point's own `point_row`: the parts of each Gaussian integer
+    as real ones over the same D, and no Gaussian coordinates."""
+    row, _ = point_row
+    return [[x, 0] for parts in row[:-1] for x in parts] + [row[-1]], set()
+
+
 def _vanishes(f: "MultiPoly", point: Sequence[Scalar], cache: dict) -> bool:
     """Whether f is 0 at the point: its Gaussian-integer sum is 0."""
     re, im, _, _ = f._integer_sum(point, cache)
@@ -245,7 +259,8 @@ def _term_key(exp):
 class MultiPoly:
     """Sparse multivariate polynomial; terms map exponent tuples to coefficients."""
 
-    __slots__ = ("num_vars", "terms", "_degree", "_integer")
+    # _integer caches `_integer_terms`; _real_pair caches `cr.realify`
+    __slots__ = ("num_vars", "terms", "_degree", "_integer", "_real_pair")
 
     def __init__(self, num_vars: int, terms: Mapping[tuple, Scalar] | None = None):
         clean = {}
@@ -264,6 +279,7 @@ class MultiPoly:
             self, "_degree", max((sum(e) for e in clean), default=-1)
         )
         object.__setattr__(self, "_integer", None)
+        object.__setattr__(self, "_real_pair", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -581,7 +597,7 @@ class MultiPoly:
         terms = {
             tuple(t["exp"]): coef_from_obj(t["coef"]) for t in obj.get("terms", [])
         }
-        return MultiPoly(nv, terms)
+        return _check_degree(MultiPoly(nv, terms))
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), sort_keys=True)
@@ -608,6 +624,13 @@ class MultiPoly:
             cs = str(coef)
             parts.append(f"({cs})*{mono}" if mono else f"({cs})")
         return " + ".join(parts)
+
+
+def _check_degree(f: MultiPoly) -> MultiPoly:
+    """f, once its total degree is at most _DEGREE_LIMIT; ValueError otherwise."""
+    if f.total_degree > _DEGREE_LIMIT:
+        raise ValueError(f"degree {f.total_degree} exceeds the limit {_DEGREE_LIMIT}")
+    return f
 
 
 def coef_to_obj(coef: Coef):
@@ -708,6 +731,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
                 e = _real(right.terms.get((0,) * nv, _ZERO))
                 if e.denominator != 1 or e < 0:
                     raise ValueError("exponent must be a non-negative integer")
+                if e > _DEGREE_LIMIT:
+                    raise ValueError(f"exponent {e} exceeds the limit {_DEGREE_LIMIT}")
                 return left ** int(e)
             if isinstance(node.op, ast.Div):
                 if right.total_degree > 0:
@@ -734,4 +759,4 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
             raise ValueError(f"unknown variable {node.id!r}")
         raise ValueError(f"unsupported syntax {ast.dump(node)}")
 
-    return walk(tree)
+    return _check_degree(walk(tree))

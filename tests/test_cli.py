@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
+import incidencekit
 from incidencekit.cli import main
 from incidencekit.incidence import FILTER_PRIME, Configuration
 from incidencekit.poly import MultiPoly
@@ -296,6 +300,27 @@ class TestInputErrors:
     def test_exit2(self, inputs, argv, capsys):
         assert run(argv) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["count", "foliate"])
+    def test_huge_exponent_exit2_without_hanging(self, inputs, command):
+        # an exponent 2^70 once ran 2^70 products: in the modular filter for
+        # count, in the containment check's substitution for foliate
+        if command == "count":
+            obj = json.loads(Path("g.json").read_text())
+            obj["curves"][0]["terms"][0]["exp"][0] = 2**70
+            argv = ["count", "huge_exponent.json"]
+        else:
+            obj = json.loads(Path("leaf.json").read_text())
+            obj["hypersurface"]["terms"][0]["exp"][0] = 2**70
+            argv = ["foliate", "--hypersurface", "huge_exponent.json", "--curves", "leaf.json"]
+        Path("huge_exponent.json").write_text(json.dumps(obj))
+        src = str(Path(incidencekit.__file__).parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "incidencekit.cli", *argv],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "exceeds the limit" in done.stderr
 
     @pytest.mark.parametrize("command", [
         ["generate", "--family", "grid-lines", "--n", 2],

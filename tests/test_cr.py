@@ -140,12 +140,7 @@ class TestRealify:
         for f in curves:
             if f.is_zero:
                 continue
-            got, want = realify(f), realify_by_substitution(f)
-            for part in ("u", "v"):
-                g, w = getattr(got, part).terms, getattr(want, part).terms
-                assert g == w, (f, part)
-                assert {e: type(c) for e, c in g.items()} == {
-                    e: type(c) for e, c in w.items()}
+            same_terms(realify(f), realify_by_substitution(f))
             seen.add(f.is_gaussian)
             seen.add(("real part", any(isinstance(c, GaussianRational) and c.re == 0
                                        for c in f.terms.values())))
@@ -166,6 +161,67 @@ def realify_by_substitution(f):
         if c.im:
             v_terms[exp] = c.im
     return RealPair(MultiPoly(4, u_terms), MultiPoly(4, v_terms))
+
+
+def same_terms(got, want):
+    """Term-for-term equality of two real pairs, coefficient types included."""
+    for part in ("u", "v"):
+        g, w = getattr(got, part).terms, getattr(want, part).terms
+        assert g == w, part
+        assert {e: type(c) for e, c in g.items()} == {e: type(c) for e, c in w.items()}, part
+
+
+def cache_curves(seed):
+    """Seeded polynomials in (z1, z2): Gaussian ones, rational ones, and a
+    few whose u or v is 0."""
+    rng = random.Random(seed)
+    curves = [rand_curve(rng, rng.randrange(1, 5)).f for _ in range(12)]
+    curves += [MultiPoly(2, {(rng.randrange(4), rng.randrange(3)): Fraction(rng.randrange(1, 9), 2),
+                             (0, 1): Fraction(-1)}) for _ in range(6)]
+    curves += [MultiPoly.constant(I_UNIT, 2), MultiPoly.constant(3, 2), MultiPoly.variable(1, 2)]
+    return curves
+
+
+class TestRealifyCache:
+    """realify expands a polynomial once and keeps the pair on it."""
+
+    def test_later_calls_return_the_first_pair(self):
+        for f in cache_curves(1):
+            first = realify(f)
+            assert realify(f) is first
+            assert realify(ComplexCurve(f)) is first
+
+    def test_cached_pairs_match_the_substitution_oracle(self):
+        curves = cache_curves(2)
+        for f in curves:
+            realify(f)
+        # the second pass reads the cache, in the other order
+        for f in reversed(curves):
+            same_terms(realify(f), realify_by_substitution(f))
+
+    def test_equal_but_distinct_polynomials_give_the_same_pair(self):
+        curves = cache_curves(3)
+        twins = [MultiPoly(2, dict(f.terms)) for f in curves]
+        pairs = [realify(f) for f in curves]
+        for f, twin, pair in zip(curves, twins, pairs):
+            got = realify(twin)
+            assert got is not pair
+            same_terms(got, pair)
+            same_terms(got, realify_by_substitution(f))
+
+    def test_gradients_are_the_partials_built_once(self):
+        for f in cache_curves(4):
+            pair = realify(f)
+            du, dv = pair.gradients
+            assert du == tuple(pair.u.partial(k) for k in range(4))
+            assert dv == tuple(pair.v.partial(k) for k in range(4))
+            assert realify(f).gradients is pair.gradients
+
+    def test_a_polynomial_in_other_variables_still_raises(self):
+        f = MultiPoly.variable(0, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                realify(f)
 
 
 class TestCauchyRiemann:

@@ -28,7 +28,7 @@ from incidencekit.incidence import (
     kst_double_count,
     project_generic,
 )
-from incidencekit import incidence, poly
+from incidencekit import cr, incidence, poly
 from incidencekit.configurations import gen_complex_lines_product, gen_grid_lines
 from incidencekit.poly import GaussianRational, I_UNIT, MultiPoly, _parts
 
@@ -411,6 +411,42 @@ class TestRowsBuiltOnce:
         assert filter_candidates(config) == sorted(M.incidences)
         assert len(calls) == 2 * config.m
 
+    def test_the_cross_check_reads_the_rows_too(self, monkeypatch):
+        # the R^4 image of each point's row is read from the row itself
+        config = gen_complex_lines_product(4, 4, seed=5)
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return poly_point_row(point)
+
+        poly_point_row = poly._point_row
+        monkeypatch.setattr(poly, "_point_row", counted)
+        monkeypatch.setattr(incidence, "_point_row", counted)
+        M = build_matrix(config, cross_check_embedding=True)
+        assert M.count > 0
+        assert len(calls) == config.m
+
+
+class TestRealifiedOnce:
+    def test_repeated_cross_checks_expand_each_curve_once(self, monkeypatch):
+        config = gen_complex_lines_product(4, 4, seed=6)
+        expanded = []
+
+        def counted(u, v):
+            expanded.append((u, v))
+            return real_pair(u, v)
+
+        real_pair = cr.RealPair
+        monkeypatch.setattr(cr, "RealPair", counted)
+        first = build_matrix(config, cross_check_embedding=True)
+        incident = {j for _, j in first.incidences}
+        assert len(expanded) == len(incident) > 0
+        assert build_matrix(config, cross_check_embedding=True) == first
+        assert len(expanded) == len(incident)
+        assert all((config.curves[j]._real_pair is None) == (j not in incident)
+                   for j in range(config.n))
+
 
 def certify_dof_pairwise(M, k, s):
     """certify_dof with condition 2 as one set intersection per curve pair in
@@ -448,6 +484,91 @@ def certify_dof_pairwise(M, k, s):
                     detail=f"curves share {len(shared)} incident points",
                 )
     return DofCertificate(k, s, "certified")
+
+
+def certify_dof_table_first(M, k, s):
+    """certify_dof with the k-subset table always walked before condition 2,
+    whatever k and s: the reference the k > s shortcut is held to."""
+    cap = incidence.SUBSET_TABLE_CAP
+    rows = M.curve_rows()
+    table, entries = {}, 0
+    for j, row in enumerate(rows):
+        if len(row) < k:
+            continue
+        entries += math.comb(len(row), k)
+        if entries > cap:
+            return DofCertificate(k, s, "indeterminate",
+                                  detail=f"k-subset table exceeded cap {cap}")
+        for subset in itertools.combinations(row, k):
+            count = table[subset] = table.get(subset, 0) + 1
+            if count > s:
+                curves_here = tuple(j2 for j2 in range(j + 1) if set(subset).issubset(rows[j2]))
+                return DofCertificate(
+                    k, s, "violated",
+                    witness=("point-subset", subset, curves_here),
+                    detail=f"{count} curves through one {k}-subset",
+                )
+    point_curves = {}
+    for j, row in enumerate(rows):
+        for i in row:
+            point_curves.setdefault(i, []).append(j)
+    for j1, row in enumerate(rows):
+        if len(row) <= s:
+            continue
+        shared_counts = collections.Counter(
+            j2 for i in row for j2 in point_curves[i] if j2 > j1)
+        j2 = min((j2 for j2, c in shared_counts.items() if c > s), default=None)
+        if j2 is not None:
+            shared = sorted(set(row) & set(rows[j2]))
+            return DofCertificate(
+                k, s, "violated",
+                witness=("curve-pair", (j1, j2), tuple(shared)),
+                detail=f"curves share {len(shared)} incident points",
+            )
+    return DofCertificate(k, s, "certified")
+
+
+class TestCertifyShortcut:
+    """For k > s, certify_dof walks condition 2 first and builds the table
+    only when it fails; every certificate stays the table-first one."""
+
+    @pytest.mark.parametrize("cap", [SUBSET_TABLE_CAP, 40])
+    def test_matches_the_table_first_walk(self, monkeypatch, cap):
+        monkeypatch.setattr(incidence, "SUBSET_TABLE_CAP", cap)
+        kinds = collections.Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            m, n = rng.randint(1, 14), rng.randint(1, 10)
+            M = IncidenceMatrix(m, n, frozenset(
+                (i, j) for j in range(n)
+                for i in rng.sample(range(m), rng.randint(0, min(m, 7)))
+            ))
+            rows = [set(r) for r in M.curve_rows()]
+            for k in (1, 2, 3, 4):
+                for s in (1, 2, 3):
+                    cert = certify_dof(M, k, s)
+                    assert cert == certify_dof_table_first(M, k, s), (seed, k, s)
+                    order = "k > s" if k > s else "k = s" if k == s else "k < s"
+                    kind = cert.witness[0] if cert.witness else cert.status
+                    if kind == "indeterminate":
+                        pairs_fail = any(len(a & b) > s for a, b in itertools.combinations(rows, 2))
+                        kind += " (condition 2 fails)" if pairs_fail else " (condition 2 holds)"
+                    kinds[order, kind] += 1
+        wanted = ["certified", "point-subset", "curve-pair"]
+        if cap < SUBSET_TABLE_CAP:
+            wanted += ["indeterminate (condition 2 holds)", "indeterminate (condition 2 fails)"]
+        missing = {(order, kind) for order in ("k > s", "k = s", "k < s")
+                   for kind in wanted} - set(kinds)
+        assert not missing
+
+    def test_certified_k_above_s_builds_no_table(self, monkeypatch):
+        M = build_matrix(gen_grid_lines(3))
+
+        def no_table(*args):
+            raise AssertionError("the k-subset table was built")
+
+        monkeypatch.setattr(incidence, "_subset_violation", no_table)
+        assert certify_dof(M, 2, 1) == DofCertificate(2, 1, "certified")
 
 
 class TestCertify:

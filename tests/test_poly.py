@@ -10,16 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from incidencekit import roots
+from incidencekit.cr import iota
 from incidencekit.incidence import FILTER_PRIME
 from incidencekit.poly import (
+    _DEGREE_LIMIT,
     GaussianRational,
     I_UNIT,
     MultiPoly,
     _integer_form,
     _integer_parts,
+    _point_row,
     _primitive,
     _primitive_at,
     _real,
+    _real_row,
     _vanishes,
     gradient,
     jacobian_rank,
@@ -416,6 +420,17 @@ class TestSerialization:
             assert hash(a) == hash(b)
             assert a.to_json() == b.to_json()
 
+    def test_from_obj_rejects_degrees_above_the_limit(self):
+        def obj(*exp):
+            return {"vars": 2, "terms": [{"exp": list(exp), "coef": "1/1"},
+                                         {"exp": [0, 0], "coef": "-1/1"}]}
+
+        for exp in ((0, _DEGREE_LIMIT), (1, _DEGREE_LIMIT - 1)):
+            assert MultiPoly.from_obj(obj(*exp)).total_degree == _DEGREE_LIMIT
+        for exp in ((0, _DEGREE_LIMIT + 1), (1, _DEGREE_LIMIT), (2**70, 0)):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                MultiPoly.from_obj(obj(*exp))
+
     def test_schema_shape(self):
         x = MultiPoly.variable(0, 2)
         obj = (x * x * 3).to_obj()
@@ -678,6 +693,27 @@ class TestIntegerQuestions:
             assert Fraction(a, b) == Fraction(ea, eb)
         assert raised > 20
 
+    def test_real_row_is_the_row_of_the_image_in_r4(self):
+        # build_matrix's cross-check reads p's R^4 row from p's own row
+        rng = random.Random(1904)
+        kinds = set()
+        for _ in range(300):
+            kind = rng.choice(("real", "gaussian", "mixed", "integer", "gaussian integer"))
+            kinds.add(kind)
+            if kind == "integer":
+                point = [rng.randrange(-50, 51) for _ in range(2)]
+            elif kind == "gaussian integer":
+                point = [GaussianRational(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                         for _ in range(2)]
+            else:
+                point = [self.scalar(rng, kind == "gaussian" or (kind == "mixed" and k == 0))
+                         for k in range(2)]
+            row = _real_row(_point_row(point))
+            assert row == _point_row(iota(point))
+            f = self.poly(rng, 4, False)
+            assert f._integer_sum(iota(point), {None: row}) == f._integer_sum(iota(point), {})
+        assert len(kinds) == 5
+
 
 class TestParse:
     def test_parse_basic(self):
@@ -693,3 +729,13 @@ class TestParse:
     def test_parse_rejects_malformed_text(self):
         with pytest.raises(ValueError):
             parse_poly("z1^", ["z1"])
+
+    def test_parse_rejects_degrees_above_the_limit(self):
+        names = ["z1", "z2"]
+        half = _DEGREE_LIMIT // 2
+        for text in (f"z1^{_DEGREE_LIMIT} - z2", f"z1^{half} * z2^{half} + 1"):
+            assert parse_poly(text, names).total_degree == _DEGREE_LIMIT
+        for text in (f"z1^{_DEGREE_LIMIT + 1}", "z1^(2^70) - z2", f"(z1^{_DEGREE_LIMIT})^2",
+                     f"z1^{half} * z2^{half + 1}", f"2^{_DEGREE_LIMIT + 1}"):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                parse_poly(text, names)
