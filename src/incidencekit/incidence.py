@@ -128,48 +128,73 @@ class IncidenceMatrix:
         return "\n".join(lines) + "\n"
 
 
-# The modular filter works in F_p for the largest prime p < 2^31 with
-# p = 1 (mod 4): residues multiply without overflow in int64, and i maps to a
-# square root of -1.  As p = 5 (mod 8), 2 is a non-residue, so 2^((p-1)/4)
-# squares to -1.
-FILTER_PRIME = 2_147_483_629
+# The modular filter works in F_p for the largest prime p < 2^26 with
+# p = 5 (mod 8).  As p = 1 (mod 4), i maps to a square root of -1, and as 2
+# is a non-residue, 2^((p-1)/4) squares to -1.  A product of two residues is
+# below 2^52, so FILTER_CHUNK products plus a residue sum exactly in int64
+# and one reduction serves a chunk of terms.  A block of the products holds
+# at most FILTER_BLOCK (point, curve) entries, which bounds the memory.
+FILTER_PRIME = 67_108_837
 FILTER_SQRT_M1 = pow(2, (FILTER_PRIME - 1) // 4, FILTER_PRIME)
+FILTER_CHUNK = (2**63 - FILTER_PRIME) // (FILTER_PRIME - 1) ** 2
+FILTER_BLOCK = 2**14
 
 
 def filter_candidates(config: Configuration, _rows: list | None = None) -> list[tuple[int, int]]:
     """Sorted (point, curve) pairs that the modular filter cannot rule out.
 
     Each curve's integer form (the one MultiPoly.evaluate sums) is evaluated
-    at every point's integer row (D*p_1, D*p_2, D) at once, in numpy int64
-    modulo FILTER_PRIME.  A nonzero residue proves the pair is not an
+    at every point's integer row (D*p_1, D*p_2, D) in numpy int64 modulo
+    FILTER_PRIME.  Curves with the same homogenised exponents share one
+    matrix of monomial residues at the points, and their coefficient
+    residues form another, so the values of the group are the product of
+    the two, taken in blocks of FILTER_BLOCK entries and chunks of
+    FILTER_CHUNK terms.  A nonzero residue proves the pair is not an
     incidence, so the result is a superset of the incidences: the pairs
     whose value vanishes mod p, plus every pair at a point with a
     denominator divisible by p.  `_rows`, when given, holds each point's
     `poly._point_row`, already built by the caller."""
-    p = FILTER_PRIME
+    p, s = FILTER_PRIME, FILTER_SQRT_M1
     rows = [row for row, _ in _rows or map(_point_row, config.points)]
-    reduced = [i for i, row in enumerate(rows) if row[-1][0] % p]
-    unreduced = [i for i, row in enumerate(rows) if not row[-1][0] % p]
+    reduced = np.array([i for i, row in enumerate(rows) if row[-1][0] % p], dtype=np.int64)
+    unreduced = np.array([i for i, row in enumerate(rows) if not row[-1][0] % p],
+                         dtype=np.int64)
     coords = np.array(
-        [[(a + b * FILTER_SQRT_M1) % p for a, b in rows[i]] for i in reduced],
-        dtype=np.int64,
+        [[(a + b * s) % p for a, b in rows[i]] for i in reduced.tolist()], dtype=np.int64,
     ).reshape(len(reduced), 3)
-    monomials: dict[tuple, np.ndarray] = {}
-    out = []
+    groups: dict[tuple, tuple[list, list]] = {}
     for j, curve in enumerate(config.curves):
-        acc = np.zeros(len(reduced), dtype=np.int64)
-        for exp, re, im in curve._integer_terms()[1]:
+        terms = sorted(curve._integer_terms()[1])
+        members, coefs = groups.setdefault(tuple(exp for exp, _, _ in terms), ([], []))
+        members.append(j)
+        coefs.append([(re + im * s) % p for _, re, im in terms])
+    found = [(np.repeat(unreduced, config.n), np.tile(np.arange(config.n), len(unreduced)))]
+    monomials: dict[tuple, np.ndarray] = {}
+    point_step = max(1, min(len(reduced), FILTER_BLOCK))
+    curve_step = FILTER_BLOCK // point_step
+    for support, (members, coefs) in groups.items():
+        for exp in support:
             if exp not in monomials:
                 value = np.ones(len(reduced), dtype=np.int64)
                 for var, e in enumerate(exp):
                     for _ in range(e):
                         value = value * coords[:, var] % p
                 monomials[exp] = value
-            acc = (acc + (re + im * FILTER_SQRT_M1) % p * monomials[exp]) % p
-        out.extend((reduced[k], j) for k in np.flatnonzero(acc == 0))
-        out.extend((i, j) for i in unreduced)
-    out.sort()
-    return out
+        mon = np.stack([monomials[exp] for exp in support], axis=1)
+        coef = np.array(coefs, dtype=np.int64)
+        members = np.array(members, dtype=np.int64)
+        for a, b in itertools.product(range(0, len(reduced), point_step),
+                                      range(0, len(members), curve_step)):
+            acc = 0
+            for t in range(0, len(support), FILTER_CHUNK):
+                acc = (acc + mon[a:a + point_step, t:t + FILTER_CHUNK]
+                       @ coef[b:b + curve_step, t:t + FILTER_CHUNK].T) % p
+            i, k = np.nonzero(acc == 0)
+            found.append((reduced[i + a], members[k + b]))
+    points = np.concatenate([i for i, _ in found])
+    curves = np.concatenate([k for _, k in found])
+    order = np.lexsort((curves, points))
+    return list(zip(points[order].tolist(), curves[order].tolist()))
 
 
 class EmbeddingMismatchError(RuntimeError):

@@ -461,9 +461,12 @@ class MultiPoly:
         the sum directly, through `_vanishes` and `_primitive_at`.
 
         `_cache`, when given, memoizes the row and monomial values for
-        repeated evaluation of many polynomials at the same point.
+        repeated evaluation of many polynomials at the same point.  A zero
+        value is the shared `_ZERO`, or a GaussianRational of two of them.
         """
         re, im, q, gaussian = self._integer_sum(point, {} if _cache is None else _cache)
+        if not (re or im):
+            return GaussianRational._of(_ZERO, _ZERO) if gaussian else _ZERO
         if gaussian:
             return GaussianRational._of(Fraction(re, q), Fraction(im, q))
         return Fraction(re, q)

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from incidencekit.incidence import (
+    FILTER_BLOCK,
+    FILTER_CHUNK,
     FILTER_PRIME,
     FILTER_SQRT_M1,
     SUBSET_TABLE_CAP,
@@ -179,11 +182,38 @@ def exact_incidences(config, modular=False):
     return pairs
 
 
+def mixed_supports(field):
+    """Points and curves of many monomial supports: lines (one through the
+    origin, a vertical and a horizontal one), conics, one-term curves and one
+    support reached through three term orders; then a constant curve and one
+    whose value is -p at the origin, the only curves with no incidence."""
+    points = [(Fraction(x), Fraction(y)) for x, y in
+              [(0, 0), (1, 1), (2, 4), (3, 9), (5, 0), (0, 5), (3, 4), (-1, 1), (2, 3),
+               (4, -3), (3, 3), (2, 1)]] + [(Fraction(1, 2), Fraction(1, 4))]
+    curves = [Y - X, Y - X * 2 + 1, X - 3, Y - 4, Y - X * X, X * X + Y * Y - 25, X * Y - 6,
+              X, Y * Y * 3, X * Y, MultiPoly(2, {(0, 0): -6, (1, 0): 1, (0, 1): 1}),
+              MultiPoly(2, {(0, 1): 2, (1, 0): 3, (0, 0): -8})]
+    last = [MultiPoly.constant(7, 2), X + Y - MultiPoly.constant(P, 2)]
+    if field == "C2":
+        points = [(GaussianRational(x), GaussianRational(y)) for x, y in points] + [
+            (I_UNIT, GaussianRational(-1)), (GaussianRational(1, 1), GaussianRational(1, 1)),
+            (GaussianRational(0, 2), GaussianRational(0, -3)), (GaussianRational(1), I_UNIT)]
+        scales = itertools.cycle([GaussianRational(1), I_UNIT, GaussianRational(2, 1)])
+        curves = [f * c for f, c in zip(curves, scales)] + [Z2 - Z1 * I_UNIT]
+        last = [f * I_UNIT for f in last]
+    return Configuration.build(field, points, curves + last)
+
+
 class TestModularFilter:
     def test_prime(self):
-        assert P < 2**31 and P % 4 == 1
-        assert all(P % d for d in range(2, 46341))
+        assert P < 2**26 and P % 8 == 5
+        assert all(P % d for d in range(2, math.isqrt(P) + 1))
+        # the largest such prime: every larger q = 5 (mod 8) below 2^26 has a factor
+        assert all(any(q % d == 0 for d in range(2, math.isqrt(q) + 1))
+                   for q in range(P + 8, 2**26, 8))
         assert FILTER_SQRT_M1**2 % P == P - 1
+        # a chunk of products of two residues, plus a residue, sums exactly in int64
+        assert FILTER_CHUNK >= 1 and FILTER_CHUNK * (P - 1)**2 + P - 1 < 2**63
 
     def test_residue_is_a_ring_map(self):
         a = GaussianRational(Fraction(3, 7), Fraction(-5, 2))
@@ -239,6 +269,66 @@ class TestModularFilter:
     def test_filter_on_the_integer_form_keeps_its_candidates(self, config):
         assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
         assert build_matrix(config).incidences == exact_incidences(config)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(["R2", "C2"]).flatmap(filter_configurations))
+    def test_filter_in_blocks_and_chunks_of_one_keeps_its_candidates(self, config):
+        # one point, one curve and one term per product
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incidence, "FILTER_CHUNK", 1)
+            mp.setattr(incidence, "FILTER_BLOCK", 1)
+            assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
+
+    @pytest.mark.parametrize("chunk, block", [(FILTER_CHUNK, FILTER_BLOCK), (1, 1), (2, 5)])
+    @pytest.mark.parametrize("field", ["R2", "C2"])
+    def test_mixed_supports(self, monkeypatch, field, chunk, block):
+        monkeypatch.setattr(incidence, "FILTER_CHUNK", chunk)
+        monkeypatch.setattr(incidence, "FILTER_BLOCK", block)
+        config = mixed_supports(field)
+        supports = collections.defaultdict(set)
+        for f in config.curves:
+            supports[frozenset(f.terms)].add(tuple(f.terms))
+        # lines, conics and one-term curves, and one support in two term orders
+        assert len(supports) >= 6 and max(map(len, supports.values())) > 1
+        exact = exact_incidences(config)
+        assert {j for _, j in exact} >= set(range(config.n - 2))
+        assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
+        assert build_matrix(config).incidences == exact
+
+    @pytest.mark.parametrize("chunk, block", [(FILTER_CHUNK, FILTER_BLOCK), (1, 1)])
+    @pytest.mark.parametrize("field", ["R2", "C2"])
+    def test_every_point_outside_the_filter(self, monkeypatch, field, chunk, block):
+        # every denominator is divisible by p: no point is reduced, and every
+        # pair is a candidate
+        monkeypatch.setattr(incidence, "FILTER_CHUNK", chunk)
+        monkeypatch.setattr(incidence, "FILTER_BLOCK", block)
+        points = [(Fraction(1, P), Fraction(2)), (Fraction(0), Fraction(7, P)),
+                  (Fraction(3, 5 * P), Fraction(1, P))]
+        curves = [X * P - Y + 1, X, X * X + Y - 3, MultiPoly.constant(5, 2)]
+        if field == "C2":
+            points = [(GaussianRational(0, Fraction(1, P)), GaussianRational(1, 1)),
+                      (GaussianRational(0), GaussianRational(0, Fraction(7, P))),
+                      (GaussianRational(Fraction(3, 5 * P), 1), GaussianRational(Fraction(1, P)))]
+            curves[3] = Z1 * Z2 - I_UNIT
+        config = Configuration.build(field, points, curves)
+        assert filter_candidates(config) == [(i, j) for i in range(3) for j in range(4)]
+        assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
+        assert build_matrix(config).incidences == exact_incidences(config)
+        assert exact_incidences(config)
+
+    def test_filter_memory_is_bounded_by_its_blocks(self):
+        # gen_grid_lines(10): 1,000 lines at 2,000 points; one product of all
+        # pairs at once would peak near 48 MiB
+        config = gen_grid_lines(10)
+        tracemalloc.start()
+        try:
+            candidates = filter_candidates(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(candidates) == 10**4
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("field, points, curves, incidences, candidates", [
         # a mixed-degree curve at coordinates with different denominators

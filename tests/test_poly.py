@@ -14,6 +14,7 @@ from incidencekit.cr import iota
 from incidencekit.incidence import FILTER_PRIME
 from incidencekit.poly import (
     _DEGREE_LIMIT,
+    _ZERO,
     GaussianRational,
     I_UNIT,
     MultiPoly,
@@ -122,8 +123,10 @@ def reference_evaluate(p, point):
 class TestEval:
     def test_integer_sum_matches_term_by_term_evaluation(self):
         # values and types: GaussianRational exactly when a coefficient is
-        # one or an occurring variable has a GaussianRational coordinate
+        # one or an occurring variable has a GaussianRational coordinate; a
+        # zero value, real or Gaussian, is made of the shared Fraction zero
         rng = random.Random(11)
+        zeros = {Fraction: 0, GaussianRational: 0}
         for _ in range(400):
             num_vars = rng.randint(1, 4)
             point = rand_point(rng, num_vars, gaussian=rng.random() < 0.5)
@@ -136,10 +139,18 @@ class TestEval:
             for _ in range(3):
                 p = rand_poly(rng, num_vars, rng.randint(0, 6),
                               density=rng.randint(0, 7), gaussian=rng.random() < 0.4)
+                if rng.random() < 0.35:
+                    p = p - reference_evaluate(p, point)
                 expected = reference_evaluate(p, point)
                 for value in (p.evaluate(point), p.evaluate(point, cache)):
                     assert type(value) is type(expected)
                     assert value == expected
+                    if not expected:
+                        zeros[type(value)] += 1
+                        gaussian = isinstance(value, GaussianRational)
+                        assert all(x is _ZERO for x in ((value.re, value.im) if gaussian
+                                                        else (value,)))
+        assert min(zeros.values()) > 50
 
     def test_zero_case(self):
         # x1^2 + y1^2 at the origin
