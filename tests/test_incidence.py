@@ -289,7 +289,7 @@ class TestModularFilter:
         supports = collections.defaultdict(set)
         for f in config.curves:
             supports[frozenset(f.terms)].add(tuple(f.terms))
-        # lines, conics and one-term curves, and one support in two term orders
+        # lines, conics and one-term curves, and a support in more than one term order
         assert len(supports) >= 6 and max(map(len, supports.values())) > 1
         exact = exact_incidences(config)
         assert {j for _, j in exact} >= set(range(config.n - 2))
@@ -314,12 +314,12 @@ class TestModularFilter:
         config = Configuration.build(field, points, curves)
         assert filter_candidates(config) == [(i, j) for i in range(3) for j in range(4)]
         assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
-        assert build_matrix(config).incidences == exact_incidences(config)
-        assert exact_incidences(config)
+        exact = exact_incidences(config)
+        assert exact and build_matrix(config).incidences == exact
 
     def test_filter_memory_is_bounded_by_its_blocks(self):
         # gen_grid_lines(10): 1,000 lines at 2,000 points; one product of all
-        # pairs at once would peak near 48 MiB
+        # pairs at once peaks near 31 MiB
         config = gen_grid_lines(10)
         tracemalloc.start()
         try:
