@@ -34,12 +34,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import MultiPoly, _integer_form, _real
+from .poly import MultiPoly, _integer_form, _primitive, _real
 from .roots import (
     _halve,
-    _sign,
+    _sign_at,
     isolate_real_roots,
-    poly_eval_coeffs,
     poly_gcd,
     squarefree_part,
 )
@@ -434,13 +433,22 @@ def _descend(arrays, dim, rng, sigma_schedule):
     offsets = np.cumsum([0] + [len(a) for a in arrays if len(a)])[:-1]
 
     for sigma in sigma_schedule:
-        def objective(hv, sigma=sigma):
-            nv = math.sqrt(hv.dot(hv))
-            if nv < 1e-12:
-                return 1e18
-            s = np.tanh((stacked @ (hv / nv)) / sigma)
-            sums = np.add.reduceat(s, offsets) if len(s) else np.zeros(0)
-            return float(np.add.reduce(sums * sums)) + 1e-9 * float(np.add.reduce(hv * hv))
+        seen = {}  # a stage's value is a function of hv's bytes: compute each once
+
+        def objective(hv, sigma=sigma, seen=seen):
+            key = hv.tobytes()
+            value = seen.get(key)
+            if value is None:
+                nv = math.sqrt(hv.dot(hv))
+                if nv < 1e-12:
+                    value = 1e18
+                else:
+                    s = np.tanh((stacked @ (hv / nv)) / sigma)
+                    sums = np.add.reduceat(s, offsets) if len(s) else np.zeros(0)
+                    value = (float(np.add.reduce(sums * sums))
+                             + 1e-9 * float(np.add.reduce(hv * hv)))
+                seen[key] = value
+            return value
 
         h = powell(objective, h)
     n = np.linalg.norm(h)
@@ -591,6 +599,10 @@ class PartitionResult:
             "on_surface": self.on_surface,
             "achieved_classes": self.achieved_classes,
         }
+
+
+def _sign(x: Fraction) -> int:
+    return 0 if x == 0 else (1 if x > 0 else -1)
 
 
 def _sign_char(s: int) -> str:
@@ -760,12 +772,12 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
     restricted = [bi.substitute([x_t, y_t]) for bi in result.bisectors]
     if any(rb.is_zero for rb in restricted):
         return CrossingReport(True, True, 0, 0)
-    coeffs = [rb.univariate_coeffs() for rb in restricted]
-    roots = _product_roots([c for c in coeffs if len(c) > 1])
+    ints = [_primitive(rb.univariate_coeffs())[0] for rb in restricted]
+    roots = _product_roots([c for c in ints if len(c) > 1])
     samples = _gap_samples(roots)
     visited = []
     for tv in samples:
-        vec = tuple(_sign(poly_eval_coeffs(c, tv)) for c in coeffs)
+        vec = tuple(_sign_at(c, *tv.as_integer_ratio()) for c in ints)
         if vec not in visited:
             visited.append(vec)
     return CrossingReport(
@@ -779,8 +791,8 @@ def line_crossings(line: MultiPoly, result: PartitionResult) -> CrossingReport:
 
 def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
     """Sorted, strictly separated intervals, one per distinct real root of
-    the product of the factors (ascending coefficient lists), in the form
-    isolate_real_roots gives: (r, r) for an exact root, else an open interval
+    the product of the factors (ascending integer coefficient lists), in the
+    form isolate_real_roots gives: (r, r) for an exact root, else an open interval
     that holds exactly one root and whose ends are not roots of the product.
     So every gap between them is free of roots.
 
@@ -793,8 +805,9 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
     entries = [
         [lo, hi, f] for f, c in enumerate(factors) for lo, hi in isolate_real_roots(c)
     ]
-    gcds: dict[tuple[int, int], list[Fraction]] = {}
-    sfs: dict[int, list[Fraction]] = {}
+    # squarefree gcds of factor pairs and squarefree parts, as primitive ints
+    gcds: dict[tuple[int, int], tuple[int, ...]] = {}
+    sfs: dict[int, tuple[int, ...]] = {}
 
     def shared(e1, e2) -> bool:
         (lo1, hi1, f1), (lo2, hi2, f2) = e1, e2
@@ -802,16 +815,15 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
             # an exact root x inside the other's closed interval: shared iff
             # the other factor vanishes there
             x, f = (lo1, f2) if lo1 == hi1 else (lo2, f1)
-            return poly_eval_coeffs(factors[f], x) == 0
+            return _sign_at(factors[f], *x.as_integer_ratio()) == 0
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if (f1, f2) not in gcds:
-            gcds[f1, f2] = squarefree_part(poly_gcd(factors[f1], factors[f2]))
+            gcds[f1, f2] = _primitive(squarefree_part(poly_gcd(factors[f1], factors[f2])))[0]
         h = gcds[f1, f2]
         # h is squarefree and has at most one root on the overlap, whose
         # ends are not roots of h: a sign change decides it
-        return len(h) > 1 and _sign(poly_eval_coeffs(h, lo)) != _sign(
-            poly_eval_coeffs(h, hi)
-        )
+        return len(h) > 1 and _sign_at(h, *lo.as_integer_ratio()) != _sign_at(
+            h, *hi.as_integer_ratio())
 
     while True:
         entries.sort(key=lambda e: (e[0], e[1]))
@@ -835,8 +847,10 @@ def _product_roots(factors) -> list[tuple[Fraction, Fraction]]:
                 lo, hi, f = e
                 if lo != hi:
                     if f not in sfs:
-                        sfs[f] = squarefree_part(factors[f])
-                    e[:2] = _halve(sfs[f], lo, hi, _sign(poly_eval_coeffs(sfs[f], hi)))
+                        sfs[f] = _primitive(squarefree_part(factors[f]))[0]
+                    c, ((a, b),) = _integer_form([(lo, hi)])
+                    a, b, c = _halve(sfs[f], a, b, c, _sign_at(sfs[f], b, c))
+                    e[:2] = Fraction(a, c), Fraction(b, c)
 
 
 def _gap_samples(intervals) -> list[Fraction]:

@@ -3,7 +3,10 @@
 Sturm counts split the query interval until each piece holds one root; the
 sign of the polynomial then narrows that piece by bisection until its width
 drops below 2**-30 or the root is hit exactly, per the kernel's
-reproducibility contract.
+reproducibility contract.  The bisection runs on integers (Collins and
+Akritas, SYMSAC 1976): an interval is a triple (a, b, c) for (a/c, b/c), every
+sign comes from one integer rule (`_sign_at`), and only the returned intervals
+are Fractions.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import MultiPoly, _primitive, _real, check_invariant
+from .poly import MultiPoly, _integer_form, _primitive, _real, check_invariant
 
 REFINE_WIDTH = Fraction(1, 2**30)
 
@@ -20,13 +23,6 @@ def _strip(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def poly_eval_coeffs(coeffs: Sequence, x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def _poly_div(num: list[Fraction], den: list[Fraction]):
@@ -85,12 +81,18 @@ def sturm_chain(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
     return [c for c in chain if c]
 
 
-def _sign(x: Fraction) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
+def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
+    """The sign of the integer coefficient list ints (ascending) at num/den,
+    den > 0: the sign of sum c_i num^i den^(d-i), by homogeneous Horner."""
+    total, power = 0, 1
+    for c in reversed(ints):
+        total = total * num + c * power
+        power *= den
+    return (total > 0) - (total < 0)
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = [s for s in (_sign(poly_eval_coeffs(c, x)) for c in chain) if s]
+def _sign_variations(chain: Sequence[Sequence[int]], num: int, den: int) -> int:
+    signs = [s for s in (_sign_at(c, num, den) for c in chain) if s]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -99,7 +101,9 @@ def count_roots(chain, lo: Fraction, hi: Fraction) -> int:
     whose Sturm chain this is.  Exact even when lo or hi is a root: at a
     simple root a the first element drops out of the count, so the sign
     variations at a equal those just right of a."""
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    ints = [[c.numerator for c in p] for p in chain]
+    return (_sign_variations(ints, *Fraction(lo).as_integer_ratio())
+            - _sign_variations(ints, *Fraction(hi).as_integer_ratio()))
 
 
 def cauchy_root_bound(coeffs: Sequence[Fraction]) -> Fraction:
@@ -111,15 +115,16 @@ def cauchy_root_bound(coeffs: Sequence[Fraction]) -> Fraction:
     return Fraction(1) + m / lead
 
 
-def _halve(coeffs, lo: Fraction, hi: Fraction, sign_hi: int):
-    """One bisection step on (lo, hi), which holds exactly one root of the
-    squarefree coeffs and at whose end hi they have sign sign_hi != 0: the
-    half that holds the root, or (mid, mid) when the midpoint is the root."""
-    mid = (lo + hi) / 2
-    s = _sign(poly_eval_coeffs(coeffs, mid))
+def _halve(ints: Sequence[int], a: int, b: int, c: int, sign_hi: int) -> tuple[int, int, int]:
+    """One bisection step on (a/c, b/c), which holds exactly one root of the
+    squarefree integer coefficient list ints and at whose end b/c they have
+    sign sign_hi != 0: the half that holds the root, or the midpoint twice
+    when it is the root, as a triple over the denominator 2c."""
+    m = a + b
+    s = _sign_at(ints, m, 2 * c)
     if s == 0:
-        return mid, mid
-    return (lo, mid) if s == sign_hi else (mid, hi)
+        return m, m, 2 * c
+    return (2 * a, m, 2 * c) if s == sign_hi else (m, 2 * b, 2 * c)
 
 
 def isolate_real_roots(
@@ -143,33 +148,36 @@ def isolate_real_roots(
         return []
     sf = squarefree_part(coeffs)
     if interval is None:
-        b = cauchy_root_bound(sf)
-        lo, hi = -b, b
+        bound = cauchy_root_bound(sf)
+        lo, hi = -bound, bound
     else:
         lo, hi = _real(interval[0]), _real(interval[1])
     if lo > hi:
         raise ValueError("empty query interval")
 
-    chain = sturm_chain(sf)
+    # the chain's elements are primitive integers; its first is sf's
+    chain = [[c.numerator for c in q] for q in sturm_chain(sf)]
+    ints = chain[0]
+    c, ((a, b),) = _integer_form([(lo, hi)])
     # count_roots covers (lo, hi]; a root at lo is reported on its own
-    found = [(lo, lo)] if poly_eval_coeffs(sf, lo) == 0 else []
-    stack = [(lo, hi, count_roots(chain, lo, hi))]
+    found = [(a, a, c)] if _sign_at(ints, a, c) == 0 else []
+    # (x, y, den, variations at x/den, variations at y/den)
+    stack = [(a, b, c, _sign_variations(chain, a, c), _sign_variations(chain, b, c))]
     while stack:
-        x, y, n = stack.pop()
-        if n > 1:
-            mid = (x + y) / 2
-            left = count_roots(chain, x, mid)
-            stack.append((x, mid, left))
-            stack.append((mid, y, n - left))
-        elif n == 1:
+        x, y, den, vx, vy = stack.pop()
+        if vx - vy > 1:
+            vm = _sign_variations(chain, x + y, 2 * den)
+            stack.append((2 * x, x + y, 2 * den, vx, vm))
+            stack.append((x + y, 2 * y, 2 * den, vm, vy))
+        elif vx - vy == 1:
             # one root in (x, y]; x may be a root outside the count, so
             # narrow until x is not one (or the root is hit exactly)
-            sign_y = _sign(poly_eval_coeffs(sf, y))
+            sign_y = _sign_at(ints, y, den)
             if sign_y == 0:
-                found.append((y, y))
+                found.append((y, y, den))
                 continue
-            while x < y and (y - x >= REFINE_WIDTH or poly_eval_coeffs(sf, x) == 0):
-                x, y = _halve(sf, x, y, sign_y)
-            found.append((x, y))
-    found.sort()
-    return found
+            while x < y and ((y - x) * REFINE_WIDTH.denominator >= den
+                              or _sign_at(ints, x, den) == 0):
+                x, y, den = _halve(ints, x, y, den, sign_y)
+            found.append((x, y, den))
+    return sorted((Fraction(x, den), Fraction(y, den)) for x, y, den in found)

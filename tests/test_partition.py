@@ -504,6 +504,38 @@ class TestPowellOracle:
             assert log == expected_log, f"seed {seed}"
             assert h.tobytes() == expected.tobytes(), f"seed {seed}"
 
+    @pytest.mark.parametrize("n_sets, size, columns", [
+        (1, 128, 3), (2, 64, 3), (4, 32, 6), (2, 1024, 5),
+    ])
+    def test_descend_computes_each_point_once_per_stage(self, monkeypatch, n_sets, size,
+                                                         columns):
+        # the objective's numeric body (counted by its np.tanh calls) runs
+        # once per distinct point of a stage's log; the revisits the line
+        # searches make read the stored value
+        logs, runs = [], []
+        real_powell, real_tanh = powell.powell, np.tanh
+
+        def staged(f, x0):
+            logs.append([])
+            runs.append(0)
+            return real_powell(logged(f, logs[-1]), x0)
+
+        def counted(x):
+            runs[-1] += 1
+            return real_tanh(x)
+
+        monkeypatch.setattr(powell, "powell", staged)
+        monkeypatch.setattr(partition.np, "tanh", counted)
+        rng = np.random.default_rng(0)
+        arrays = [np.hstack([np.ones((size, 1)), rng.random((size, columns - 1))])
+                  for _ in range(n_sets)]
+        extent = max(float(np.abs(a).max()) for a in arrays)
+        schedule = [extent * s for s in (0.5, 0.1, 0.02, 0.004)]
+        partition._descend(arrays, columns, np.random.default_rng(0), schedule)
+        assert len(logs) == len(schedule)
+        assert runs == [len({x for x, _ in log}) for log in logs]
+        assert sum(map(len, logs)) > sum(runs)
+
     @pytest.mark.parametrize("f, x0, evaluations", [
         # flat along every direction: each line search finds no valid
         # bracket and keeps the best of the three points it evaluated, so

@@ -5,16 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from incidencekit.poly import GaussianRational, MultiPoly
+from incidencekit import roots
+from incidencekit.partition import _product_roots
+from incidencekit.poly import GaussianRational, MultiPoly, _primitive, _real
 from incidencekit.roots import (
     REFINE_WIDTH,
     count_roots,
     isolate_real_roots,
-    poly_eval_coeffs,
     poly_gcd,
     squarefree_part,
     sturm_chain,
 )
+
+
+def poly_eval_coeffs(coeffs, x):
+    """The value at x of the ascending coefficient list, by Horner in
+    Fractions."""
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
 
 
 def from_roots(roots):
@@ -240,3 +250,227 @@ class TestGcd:
         assert len(sf) == 3  # quadratic with roots 1 and 4
         assert poly_eval_coeffs(sf, Fraction(1)) == 0
         assert poly_eval_coeffs(sf, Fraction(4)) == 0
+
+
+# -- the Fraction isolation the integer bisection replaced ----------------------
+#
+# isolate_real_roots, _halve and count_roots as they were on Fractions, with
+# one Horner evaluation per sign, and partition._product_roots on them: the
+# oracle the integer bisection is held to, interval for interval.
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def old_count_roots(chain, lo, hi):
+    def variations(x):
+        signs = [s for s in (_sign(poly_eval_coeffs(c, x)) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi)
+
+
+def old_halve(coeffs, lo, hi, sign_hi):
+    mid = (lo + hi) / 2
+    s = _sign(poly_eval_coeffs(coeffs, mid))
+    if s == 0:
+        return mid, mid
+    return (lo, mid) if s == sign_hi else (mid, hi)
+
+
+def old_isolate_real_roots(p, interval=None):
+    if isinstance(p, MultiPoly):
+        coeffs = p.univariate_coeffs()
+    else:
+        coeffs = [_real(c) for c in p]
+    coeffs = roots._strip(coeffs)
+    if not coeffs:
+        raise ValueError("zero polynomial has no isolated roots")
+    if len(coeffs) == 1:
+        return []
+    sf = squarefree_part(coeffs)
+    if interval is None:
+        b = roots.cauchy_root_bound(sf)
+        lo, hi = -b, b
+    else:
+        lo, hi = _real(interval[0]), _real(interval[1])
+    if lo > hi:
+        raise ValueError("empty query interval")
+    chain = sturm_chain(sf)
+    found = [(lo, lo)] if poly_eval_coeffs(sf, lo) == 0 else []
+    stack = [(lo, hi, old_count_roots(chain, lo, hi))]
+    while stack:
+        x, y, n = stack.pop()
+        if n > 1:
+            mid = (x + y) / 2
+            left = old_count_roots(chain, x, mid)
+            stack.append((x, mid, left))
+            stack.append((mid, y, n - left))
+        elif n == 1:
+            sign_y = _sign(poly_eval_coeffs(sf, y))
+            if sign_y == 0:
+                found.append((y, y))
+                continue
+            while x < y and (y - x >= REFINE_WIDTH or poly_eval_coeffs(sf, x) == 0):
+                x, y = old_halve(sf, x, y, sign_y)
+            found.append((x, y))
+    found.sort()
+    return found
+
+
+def old_product_roots(factors):
+    entries = [
+        [lo, hi, f] for f, c in enumerate(factors) for lo, hi in old_isolate_real_roots(c)
+    ]
+    gcds, sfs = {}, {}
+
+    def shared(e1, e2):
+        (lo1, hi1, f1), (lo2, hi2, f2) = e1, e2
+        if lo1 == hi1 or lo2 == hi2:
+            x, f = (lo1, f2) if lo1 == hi1 else (lo2, f1)
+            return poly_eval_coeffs(factors[f], x) == 0
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if (f1, f2) not in gcds:
+            gcds[f1, f2] = squarefree_part(poly_gcd(factors[f1], factors[f2]))
+        h = gcds[f1, f2]
+        return len(h) > 1 and _sign(poly_eval_coeffs(h, lo)) != _sign(
+            poly_eval_coeffs(h, hi))
+
+    while True:
+        entries.sort(key=lambda e: (e[0], e[1]))
+        clash = next((k for k in range(len(entries) - 1)
+                      if entries[k][1] >= entries[k + 1][0]), None)
+        if clash is None:
+            return [(lo, hi) for lo, hi, _ in entries]
+        e1, e2 = entries[clash], entries[clash + 1]
+        if shared(e1, e2):
+            if e2[0] == e2[1]:
+                e1[:] = e2
+            elif e1[0] != e1[1]:
+                e1[0], e1[1] = max(e1[0], e2[0]), min(e1[1], e2[1])
+            del entries[clash + 1]
+        else:
+            for e in (e1, e2):
+                lo, hi, f = e
+                if lo != hi:
+                    if f not in sfs:
+                        sfs[f] = squarefree_part(factors[f])
+                    e[:2] = old_halve(sfs[f], lo, hi, _sign(poly_eval_coeffs(sfs[f], hi)))
+
+
+def typed(intervals):
+    """The intervals with each end's type, so that an int or a float end
+    cannot pass for a Fraction."""
+    return [tuple((type(x).__name__, x) for x in iv) for iv in intervals]
+
+
+def assert_isolation_matches(p, interval=None):
+    got = isolate_real_roots(p, interval)
+    assert typed(got) == typed(old_isolate_real_roots(p, interval)), (p, interval)
+    return got
+
+
+def _coefficient(rng, height):
+    num = rng.randrange(-height, height + 1)
+    if rng.random() < 0.5:
+        return Fraction(num)
+    return Fraction(num, rng.randrange(1, height + 1))
+
+
+def seeded_polynomials(count, seed):
+    """Coefficient lists of degree 1..8: random coefficients (integer or
+    rational, height up to 2^64), and products of rational roots, some
+    repeated, some times an irrational quadratic."""
+    rng = random.Random(seed)
+    for k in range(count):
+        degree = rng.randrange(1, 9)
+        if k % 2 == 0:
+            height = 2 ** rng.choice((3, 10, 32, 64))
+            coeffs = [_coefficient(rng, height) for _ in range(degree)]
+            coeffs.append(_coefficient(rng, height) or Fraction(1))
+            yield coeffs
+        else:
+            rs = [Fraction(rng.randrange(-40, 41), rng.choice((1, 2, 3, 4, 7, 8, 16, 1024)))
+                  for _ in range(rng.randrange(1, 5))]
+            rs += rng.sample(rs, rng.randrange(0, len(rs) + 1))
+            p = from_roots(rs)
+            if rng.random() < 0.5:
+                p = p * (X * X - MultiPoly.constant(rng.randrange(2, 9), 1))
+            scale = _coefficient(rng, 2**64) or Fraction(1)
+            yield [c * scale for c in p.univariate_coeffs()]
+
+
+class TestAgainstFractionIsolation:
+    """The integer bisection returns exactly the Fraction intervals of the
+    Fraction isolation it replaced."""
+
+    @pytest.mark.parametrize("p, interval", [
+        # degree 1
+        ([3, 7], None),
+        ([-1, 2], (0, 1)),
+        ([Fraction(-5, 3), Fraction(7, 11)], (Fraction(1, 3), Fraction(25, 7))),
+        # the narrowing hits 3/8 exactly: 1/2, 1/4, 3/8 on (0, 1)
+        (from_roots([Fraction(3, 8), 5]), None),
+        (from_roots([Fraction(3, 8), 5]), (0, 1)),
+        (from_roots([Fraction(3, 8), 5]), (Fraction(1, 3), 5)),
+        # roots at both ends of the query interval, and at its midpoint
+        (from_roots([1, 2, 3]), (1, 3)),
+        (from_roots([Fraction(1, 3), Fraction(5, 7)]), (Fraction(1, 3), Fraction(5, 7))),
+        # lo == hi, on a root and off one
+        (from_roots([1, 2, 3]), (2, 2)),
+        (from_roots([1, 2, 3]), (Fraction(5, 2), Fraction(5, 2))),
+        (from_roots([Fraction(1, 3)]), (Fraction(1, 3), Fraction(1, 3))),
+        # repeated roots, some 2^-40 apart
+        (from_roots([2, 2, 2, Fraction(1, 3), Fraction(1, 3)]), None),
+        (from_roots([0, 0, TINY, -TINY, -TINY, Fraction(1, 3)]), None),
+        (from_roots([0, TINY]) * (X * X - MultiPoly.constant(3, 1)) ** 2, (0, 2)),
+        # no real root, and a root outside the query interval
+        (X * X + MultiPoly.constant(1, 1), None),
+        (from_roots([5]), (Fraction(1, 3), Fraction(5, 7))),
+    ])
+    def test_adversarial(self, p, interval):
+        assert_isolation_matches(p, interval)
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(24)
+        nonempty = 0
+        for coeffs in seeded_polynomials(300, 2024):
+            nonempty += bool(assert_isolation_matches(coeffs))
+            lo = Fraction(rng.randrange(-40, 40), rng.choice((3, 5, 7, 9, 11)))
+            hi = lo + Fraction(rng.randrange(0, 60), rng.choice((1, 3, 7, 13)))
+            assert_isolation_matches(coeffs, (lo, hi))
+            assert_isolation_matches(coeffs, (Fraction(1, 3), Fraction(5, 7)))
+        assert nonempty > 200
+
+    def test_real_values_written_in_q_i(self):
+        coeffs = from_roots([Fraction(3, 8), Fraction(-2, 3)]).univariate_coeffs()
+        wrapped = [GaussianRational(c) for c in coeffs]
+        for interval in (None, (GaussianRational(0), GaussianRational(1)),
+                         (GaussianRational(Fraction(-2, 3)), GaussianRational(Fraction(3, 8)))):
+            assert assert_isolation_matches(wrapped, interval) == isolate_real_roots(
+                coeffs, interval and tuple(_real(x) for x in interval))
+
+    def test_product_roots_on_shared_roots(self):
+        two, tiny = MultiPoly.constant(2, 1), MultiPoly.constant(Fraction(1, 2**70), 1)
+        pool = [
+            X * X - two,
+            (X * X - two) * (X - MultiPoly.constant(1, 1)),
+            from_roots([1, 1, -3]),
+            X * X - two - tiny,
+            X,
+            X * X - tiny * Fraction(1, 2**11),
+            from_roots([Fraction(3, 8), Fraction(-1, 3)]),
+            from_roots([Fraction(3, 8), 5]) * (X * X - two),
+            X * X * X - two * X,
+        ]
+        factors = [list(_primitive(p.univariate_coeffs())[0]) for p in pool]
+        rng = random.Random(5)
+        cases = [factors[:2], factors[2:4], factors[3:6], factors[6:], factors]
+        cases += [rng.sample(factors, rng.randrange(2, 5)) for _ in range(40)]
+        merged = 0
+        for case in cases:
+            got = _product_roots(case)
+            assert typed(got) == typed(old_product_roots(case)), case
+            merged += len(got) < sum(len(isolate_real_roots(c)) for c in case)
+        assert merged > 20  # most cases share roots between factors

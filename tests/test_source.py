@@ -122,6 +122,14 @@ def test_only_distribution_frame_builds_e_p():
     assert not found, f"program code outside distribution_frame builds E_p: {found}"
 
 
+def test_no_program_path_evaluates_in_fractions_by_horner():
+    # root isolation and line crossings read signs from the integer rule
+    # roots._sign_at; the Fraction Horner evaluation stays only in
+    # tests/test_roots.py, beside the Fraction isolation it is held to
+    found = references_outside({"poly_eval_coeffs"})
+    assert not found, f"program code refers to poly_eval_coeffs: {found}"
+
+
 def test_only_poly_clears_denominators():
     # poly._integer_form and poly._primitive are the one denominator and
     # content clearing; any other module taking an lcm or gcd would be a copy
