@@ -41,7 +41,8 @@ class Configuration:
     def build(ground_field, points, curves, metadata=None) -> "Configuration":
         if ground_field not in ("R2", "C2"):
             raise ValueError("ground field must be R2 or C2")
-        seen_pts, pts = set(), []
+        # dicts keep the first of equal keys in input order, hashing each once
+        pts = {}
         for p in points:
             key = tuple(
                 GaussianRational.coerce(c) if ground_field == "C2" else _real(c)
@@ -49,21 +50,16 @@ class Configuration:
             )
             if len(key) != 2:
                 raise ValueError("points live in a plane")
-            if key not in seen_pts:
-                seen_pts.add(key)
-                pts.append(key)
-        seen_curves, cvs = set(), []
+            pts.setdefault(key)
+        cvs = {}
         for c in curves:
             if c.is_zero:
                 raise ValueError("curves must be nonzero")
             if c.num_vars != 2:
                 raise ValueError("curves are plane curves in 2 variables")
-            key = c._key()
-            if key not in seen_curves:
-                seen_curves.add(key)
-                cvs.append(c)
+            cvs.setdefault(c._key(), c)
         return Configuration(
-            ground_field, tuple(pts), tuple(cvs), dict(metadata or {})
+            ground_field, tuple(pts), tuple(cvs.values()), dict(metadata or {})
         )
 
     @property
@@ -87,11 +83,14 @@ class Configuration:
 
     @staticmethod
     def from_obj(obj: dict) -> "Configuration":
+        """The configuration `to_obj` writes.  Each distinct number string is
+        parsed once, through a memo that lives for this call only."""
         gf = obj["field"]
+        memo: dict[str, Fraction] = {}
         points = [
-            [coef_from_obj(c) for c in p] for p in obj["points"]
+            [coef_from_obj(c, memo) for c in p] for p in obj["points"]
         ]
-        curves = [MultiPoly.from_obj(c) for c in obj["curves"]]
+        curves = [MultiPoly.from_obj(c, memo) for c in obj["curves"]]
         return Configuration.build(gf, points, curves, obj.get("metadata", {}))
 
     def to_json(self) -> str:
@@ -145,15 +144,23 @@ def filter_candidates(config: Configuration, _rows: list | None = None) -> list[
 
     Each curve's integer form (the one MultiPoly.evaluate sums) is evaluated
     at every point's integer row (D*p_1, D*p_2, D) in numpy int64 modulo
-    FILTER_PRIME.  Curves with the same homogenised exponents share one
-    matrix of monomial residues at the points, and their coefficient
-    residues form another, so the values of the group are the product of
-    the two, taken in blocks of FILTER_BLOCK entries and chunks of
-    FILTER_CHUNK terms.  A nonzero residue proves the pair is not an
-    incidence, so the result is a superset of the incidences: the pairs
-    whose value vanishes mod p, plus every pair at a point with a
-    denominator divisible by p.  `_rows`, when given, holds each point's
-    `poly._point_row`, already built by the caller."""
+    FILTER_PRIME.  A nonzero residue proves the pair is not an incidence, so
+    the result is a superset of the incidences: the pairs whose value
+    vanishes mod p, plus every pair at a point with a denominator divisible
+    by p.  `_rows`, when given, holds each point's `poly._point_row`,
+    already built by the caller.
+
+    The curves of one total degree d whose integer forms have the same
+    non-constant terms mod p form a pencil class: they differ in the
+    constant term alone.  A class of two or more evaluates its shared part N
+    once per point; its members that vanish there are those with the
+    constant residue -N * D^(-d), found by a sorted search on (class,
+    constant) keys.  A curve alone in its class is evaluated whole.  The
+    polynomials evaluated (whole curves, or the shared parts of classes)
+    with the same homogenised exponents share one matrix of monomial
+    residues at the points, and their coefficient residues form another, so
+    their values are the product of the two, taken in blocks of
+    FILTER_BLOCK entries and chunks of FILTER_CHUNK terms."""
     p, s = FILTER_PRIME, FILTER_SQRT_M1
     rows = [row for row, _ in _rows or map(_point_row, config.points)]
     reduced = np.array([i for i, row in enumerate(rows) if row[-1][0] % p], dtype=np.int64)
@@ -162,17 +169,38 @@ def filter_candidates(config: Configuration, _rows: list | None = None) -> list[
     coords = np.array(
         [[(a + b * s) % p for a, b in rows[i]] for i in reduced.tolist()], dtype=np.int64,
     ).reshape(len(reduced), 3)
-    groups: dict[tuple, tuple[list, list]] = {}
+    classes: dict[tuple, list] = {}  # (shared support, its residues) -> members
     for j, curve in enumerate(config.curves):
         terms = sorted(curve._integer_terms()[1])
-        members, coefs = groups.setdefault(tuple(exp for exp, _, _ in terms), ([], []))
-        members.append(j)
-        coefs.append([(re + im * s) % p for _, re, im in terms])
-    found = [(np.repeat(unreduced, config.n), np.tile(np.arange(config.n), len(unreduced)))]
+        support = tuple(exp for exp, _, _ in terms)
+        coefs = [(re + im * s) % p for _, re, im in terms]
+        # 1 if the curve has a constant term: its exponent (0, 0, d) sorts first
+        c = int(not any(support[0][:-1]))
+        classes.setdefault((support[c:], tuple(coefs[c:])), []).append(
+            (j, support, coefs, coefs[0] if c else 0))
+    wholes: dict[tuple, tuple[list, list]] = {}  # support -> (curves, coefficient rows)
+    pencils: dict[tuple, tuple[list, list]] = {}  # shared support -> (classes, rows)
+    keys, owners = [], []  # class * p + constant residue, and the member it keys
+    for k, ((shared, residues), members) in enumerate(classes.items()):
+        if len(members) == 1 or not shared:
+            for j, support, coefs, _ in members:
+                curves, coef_rows = wholes.setdefault(support, ([], []))
+                curves.append(j)
+                coef_rows.append(coefs)
+            continue
+        ids, coef_rows = pencils.setdefault(shared, ([], []))
+        ids.append(k)
+        coef_rows.append(residues)
+        for j, _, _, constant in members:
+            keys.append(k * p + constant)
+            owners.append(j)
     monomials: dict[tuple, np.ndarray] = {}
     point_step = max(1, min(len(reduced), FILTER_BLOCK))
-    curve_step = FILTER_BLOCK // point_step
-    for support, (members, coefs) in groups.items():
+    row_step = FILTER_BLOCK // point_step
+
+    def blocks(support, coefs):
+        """(a, b, values): the residues of coefficient rows b, b + 1, ... on
+        `support` at the reduced points a, a + 1, ..., a block at a time."""
         for exp in support:
             if exp not in monomials:
                 value = np.ones(len(reduced), dtype=np.int64)
@@ -182,19 +210,51 @@ def filter_candidates(config: Configuration, _rows: list | None = None) -> list[
                 monomials[exp] = value
         mon = np.stack([monomials[exp] for exp in support], axis=1)
         coef = np.array(coefs, dtype=np.int64)
-        members = np.array(members, dtype=np.int64)
         for a, b in itertools.product(range(0, len(reduced), point_step),
-                                      range(0, len(members), curve_step)):
+                                      range(0, len(coefs), row_step)):
             acc = 0
             for t in range(0, len(support), FILTER_CHUNK):
                 acc = (acc + mon[a:a + point_step, t:t + FILTER_CHUNK]
-                       @ coef[b:b + curve_step, t:t + FILTER_CHUNK].T) % p
-            i, k = np.nonzero(acc == 0)
-            found.append((reduced[i + a], members[k + b]))
+                       @ coef[b:b + row_step, t:t + FILTER_CHUNK].T) % p
+            yield a, b, acc
+
+    found = [(np.repeat(unreduced, config.n), np.tile(np.arange(config.n), len(unreduced)))]
+    for support, (curves, coefs) in wholes.items():
+        curves = np.array(curves, dtype=np.int64)
+        for a, b, values in blocks(support, coefs):
+            i, k = np.nonzero(values == 0)
+            found.append((reduced[i + a], curves[k + b]))
+    order = np.argsort(np.array(keys, dtype=np.int64))
+    keys, owners = np.array(keys, dtype=np.int64)[order], np.array(owners, dtype=np.int64)[order]
+    for support, (ids, coefs) in pencils.items():
+        # D^(-d) at each reduced point, d the degree the support is homogenised to
+        scale = _power(coords[:, 2], -sum(support[0]) % (p - 1))
+        ids = np.array(ids, dtype=np.int64)
+        for a, b, values in blocks(support, coefs):
+            wanted = ids[b:b + row_step] * p + (p - values) * scale[a:a + point_step, None] % p
+            lo = np.searchsorted(keys, wanted, "left")
+            count = np.searchsorted(keys, wanted, "right") - lo
+            i, k = np.nonzero(count)
+            start, count = lo[i, k], count[i, k]
+            # every member keyed by a match: keys[start], ..., keys[start + count - 1]
+            step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+            found.append((np.repeat(reduced[i + a], count), owners[np.repeat(start, count) + step]))
     points = np.concatenate([i for i, _ in found])
     curves = np.concatenate([k for _, k in found])
     order = np.lexsort((curves, points))
     return list(zip(points[order].tolist(), curves[order].tolist()))
+
+
+def _power(base: np.ndarray, e: int) -> np.ndarray:
+    """base**e modulo FILTER_PRIME, entry by entry, by square and multiply."""
+    result = np.ones_like(base)
+    while e:
+        if e & 1:
+            result = result * base % FILTER_PRIME
+        e >>= 1
+        if e:
+            base = base * base % FILTER_PRIME
+    return result
 
 
 class EmbeddingMismatchError(RuntimeError):

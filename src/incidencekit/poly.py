@@ -595,11 +595,22 @@ class MultiPoly:
         }
 
     @staticmethod
-    def from_obj(obj: dict) -> "MultiPoly":
-        nv = int(obj["vars"])
-        terms = {
-            tuple(t["exp"]): coef_from_obj(t["coef"]) for t in obj.get("terms", [])
-        }
+    def from_obj(obj: dict, _memo: dict | None = None) -> "MultiPoly":
+        """The polynomial `to_obj` writes.  ValueError on a `vars` or an
+        exponent that is not an int (a bool is not one), on an exponent
+        given twice and on a coefficient `coef_from_obj` rejects; `_memo` is
+        handed to `coef_from_obj`."""
+        nv = obj["vars"]
+        if type(nv) is not int:
+            raise ValueError(f"vars must be an int, got {nv!r}")
+        terms = {}
+        for t in obj.get("terms", []):
+            exp = tuple(t["exp"])
+            if any(type(e) is not int for e in exp):
+                raise ValueError(f"exponents must be ints, got {t['exp']!r}")
+            if exp in terms:
+                raise ValueError(f"exponent {list(exp)} given twice")
+            terms[exp] = coef_from_obj(t["coef"], _memo)
         return _check_degree(MultiPoly(nv, terms))
 
     def to_json(self) -> str:
@@ -647,9 +658,27 @@ def coef_to_obj(coef: Coef):
     return f"{coef.numerator}/{coef.denominator}"
 
 
-def coef_from_obj(obj) -> Coef:
+def coef_from_obj(obj, _memo: dict | None = None) -> Coef:
+    """A coefficient or coordinate as a file writes it: an int, a string
+    that `Fraction` reads ("a/b"), or {"re": ..., "im": ...} of two of them.
+    ValueError on any other number, such as a bool or a float.  `_memo`,
+    when given, maps each string already read to its Fraction, so one load
+    parses each distinct string once and equal strings share one object."""
+    memo = {} if _memo is None else _memo
     if isinstance(obj, dict):
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
+        return GaussianRational._of(_rational_from_obj(obj["re"], memo),
+                                    _rational_from_obj(obj["im"], memo))
+    return _rational_from_obj(obj, memo)
+
+
+def _rational_from_obj(obj, memo: dict) -> Fraction:
+    if isinstance(obj, str):
+        value = memo.get(obj)
+        if value is None:
+            value = memo[obj] = Fraction(obj)
+        return value
+    if type(obj) is not int:
+        raise ValueError(f"a number must be an int or a string 'a/b', got {obj!r}")
     return Fraction(obj)
 
 

@@ -272,6 +272,22 @@ INPUT_ERRORS = {
     "partition coordinate 10^400": ["partition", "huge.json", "--r", 2],
 }
 
+# numbers a file may not hold: the path to one field of a grid-lines --n 2
+# file (whose first curve is -x + y - 1), and the value written there
+NUMBER_ERRORS = {
+    "bool coordinate": (("points", 0, 0), True),
+    "bool in a Q(i) coefficient": (("curves", 0, "terms", 0, "coef"), {"re": True, "im": "0/1"}),
+    "bool exponent": (("curves", 0, "terms", 0, "exp"), [True, 0]),
+    "float exponent": (("curves", 0, "terms", 0, "exp"), [1.5, 0]),
+    # once read together as the one term 2x
+    "float and bool exponents": (("curves", 0, "terms"), [
+        {"exp": [1.5, 0], "coef": "-1/1"}, {"exp": [True, 0], "coef": "2/1"}]),
+    "float vars": (("curves", 0, "vars"), 2.9),
+    "duplicate exponent": (("curves", 0, "terms", 1, "exp"), [1, 0]),
+    "float coefficient": (("curves", 0, "terms", 0, "coef"), 0.5),
+    "float coordinate": (("points", 0, 1), 0.1),
+}
+
 
 class TestInputErrors:
     """Bad input exits 2; exit 1 means a property was violated."""
@@ -299,6 +315,18 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
     def test_exit2(self, inputs, argv, capsys):
         assert run(argv) == 2
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", NUMBER_ERRORS.values(), ids=NUMBER_ERRORS.keys())
+    def test_numbers_the_format_does_not_allow_exit2(self, inputs, path, value, capsys):
+        obj = json.loads(Path("g.json").read_text())
+        assert obj["curves"][0]["terms"][0]["exp"] == [1, 0]
+        field = obj
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+        Path("odd_number.json").write_text(json.dumps(obj))
+        assert run(["count", "odd_number.json"]) == 2
         assert "input error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["count", "foliate"])

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -158,6 +159,16 @@ def filter_configurations(draw, field):
         f = f - f.evaluate(at) + MultiPoly.constant(shift, 2)
         if not f.is_zero:
             curves.append(f)
+    # translates of the first curve, which differ from it in the constant term
+    # alone: a pencil, with members that vanish at a point, are congruent mod
+    # p to one that does, or have a constant over another denominator
+    if not curves:
+        return Configuration.build(field, points, curves)
+    shifts = st.sampled_from([0, 0, P, 1, Fraction(1, 3), Fraction(2, P)])
+    for q, shift in draw(st.lists(st.tuples(st.sampled_from(points), shifts), max_size=4)):
+        g = curves[0] - curves[0].evaluate(list(q)) + MultiPoly.constant(shift, 2)
+        if not g.is_zero:
+            curves.append(g)
     return Configuration.build(field, points, curves)
 
 
@@ -202,6 +213,56 @@ def mixed_supports(field):
         curves = [f * c for f, c in zip(curves, scales)] + [Z2 - Z1 * I_UNIT]
         last = [f * I_UNIT for f in last]
     return Configuration.build(field, points, curves + last)
+
+
+def pencils():
+    """Configurations whose curves fall into pencils: curves that differ in
+    the constant term alone, each with incidences at its points."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    c = MultiPoly.constant
+    grid = gen_grid_lines(3)
+    radii = [1, 4, 25, 2]
+    gaussians = [GaussianRational(0), I_UNIT, GaussianRational(1, 1), GaussianRational(half, -third)]
+    slope = GaussianRational(1, 1)
+    return {
+        "grid lines": ("R2", grid.points, grid.curves),
+        # D = 5 at (3/5, 4/5) and (6/5, 8/5)
+        "concentric circles": (
+            "R2", [(1, 0), (0, 1), (3, 4), (5, 0), (Fraction(3, 5), Fraction(4, 5)),
+                   (Fraction(6, 5), Fraction(8, 5)), (1, 1), (7, 7)],
+            [X * X + Y * Y - c(r, 2) for r in radii]),
+        "horizontal complex lines": (
+            "C2", [(z, b) for z in (GaussianRational(half, 1), GaussianRational(0, 3))
+                   for b in gaussians] + [(GaussianRational(1), GaussianRational(2, 7))],
+            [Z2 - c(b, 2) for b in gaussians]),
+        "complex lines of one slope": (
+            "C2", [(z, slope * z + b) for z in (GaussianRational(1), I_UNIT,
+                                                GaussianRational(third, half))
+                   for b in gaussians],
+            [Z2 - Z1 * slope - c(b, 2) for b in gaussians]),
+        # b and b + p: both candidates where one vanishes, never both incidences
+        "constants congruent mod p": (
+            "R2", [(0, 1), (1, 2), (2, 3), (half, Fraction(3, 2)), (0, 2)],
+            [Y - X - c(1, 2), Y - X - c(1 + P, 2), Y - X - c(2, 2)]),
+        "a member without a constant term": (
+            "R2", [(0, 0), (1, 2), (1, 3), (0, -3), (half, 1), (half, 2)],
+            [Y - X * 2, Y - X * 2 - c(1, 2), Y - X * 2 + c(3, 2)]),
+        # integer forms 2y - x - 1, 2y - x - 3, 6y - 3x - 2 and 6y - 6x - 1
+        "translates over different denominators": (
+            "R2", [(1, 1), (1, 2), (Fraction(2, 3), Fraction(2, 3)), (0, third),
+                   (third, half)],
+            [Y - X * half - c(half, 2), Y - X * half - c(Fraction(3, 2), 2),
+             Y - X * half - c(third, 2), Y - X - c(Fraction(1, 6), 2)]),
+        # D = 2, 3 and 6 on a degree-2 pencil: D^-2 is not D^-1
+        "parabolas at non-integer points": (
+            "R2", [(half, Fraction(1, 4)), (half, Fraction(5, 4)), (third, Fraction(1, 9) - 3),
+                   (Fraction(5, 6), Fraction(25, 36) + Fraction(1, 4))],
+            [Y - X * X - c(b, 2) for b in (0, 1, -3, Fraction(1, 4))]),
+        "a point whose denominator p divides": (
+            "R2", [(Fraction(1, P), Fraction(2)), (Fraction(1, P), Fraction(2, P)), (1, 2),
+                   (2, 3), (0, 2)],
+            [Y - X - c(b, 2) for b in (1, 2, Fraction(1, P))]),
+    }
 
 
 class TestModularFilter:
@@ -316,6 +377,22 @@ class TestModularFilter:
         assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
         exact = exact_incidences(config)
         assert exact and build_matrix(config).incidences == exact
+
+    @pytest.mark.parametrize("chunk, block", [(FILTER_CHUNK, FILTER_BLOCK), (1, 1)])
+    @pytest.mark.parametrize("name", pencils())
+    def test_pencils_keep_their_candidates(self, monkeypatch, name, chunk, block):
+        monkeypatch.setattr(incidence, "FILTER_CHUNK", chunk)
+        monkeypatch.setattr(incidence, "FILTER_BLOCK", block)
+        field, points, curves = pencils()[name]
+        config = Configuration.build(field, points, curves)
+        assert config.n == len(curves)
+        translates = collections.Counter(
+            frozenset((exp, c) for exp, c in f.terms.items() if any(exp)) for f in config.curves)
+        assert max(translates.values()) > 1
+        exact = exact_incidences(config)
+        assert len({j for _, j in exact}) > 1
+        assert filter_candidates(config) == sorted(exact_incidences(config, modular=True))
+        assert build_matrix(config).incidences == exact
 
     def test_filter_memory_is_bounded_by_its_blocks(self):
         # gen_grid_lines(10): 1,000 lines at 2,000 points; one product of all
@@ -965,3 +1042,83 @@ class TestConfigurationSerialization:
             M = build_matrix(config)
             assert M.count <= M.m + M.n**2
             assert M.count <= M.n + M.m**2
+
+
+def fraction_reading(obj):
+    """The configuration in `obj` read with one `Fraction` per string, the
+    reference for `Configuration.from_obj`."""
+    def number(x):
+        if isinstance(x, dict):
+            return GaussianRational(Fraction(x["re"]), Fraction(x["im"]))
+        return Fraction(x)
+
+    points = [[number(c) for c in p] for p in obj["points"]]
+    curves = [MultiPoly(c["vars"], {tuple(t["exp"]): number(t["coef"]) for t in c["terms"]})
+              for c in obj["curves"]]
+    return Configuration.build(obj["field"], points, curves, obj.get("metadata", {}))
+
+
+def read_strings(obj, config):
+    """(string, Fraction) for every number string of `obj` and the Fraction
+    that `config`, read from it, holds there; `obj` has no duplicates."""
+    def pairs(raw, value):
+        if isinstance(raw, dict):
+            return [(raw["re"], value.re), (raw["im"], value.im)]
+        return [(raw, _parts(value)[0])]
+
+    for raw_point, point in zip(obj["points"], config.points, strict=True):
+        for raw, value in zip(raw_point, point):
+            yield from pairs(raw, value)
+    for raw_curve, curve in zip(obj["curves"], config.curves, strict=True):
+        for t in raw_curve["terms"]:
+            yield from pairs(t["coef"], curve.terms[tuple(t["exp"])])
+
+
+def repeated_strings():
+    """A grid file, and a C2 file whose points and curves repeat Q(i) values."""
+    w, v = GaussianRational(Fraction(1, 2), Fraction(-1, 3)), GaussianRational(2, 1)
+    complex_lines = Configuration.build(
+        "C2", [(w, v), (v, w), (w, w * v), (I_UNIT, w), (v, I_UNIT)],
+        [Z2 - Z1 * w - MultiPoly.constant(b, 2) for b in (0, v, w, I_UNIT)]
+        + [Z1 * Z2 - MultiPoly.constant(w, 2)])
+    return [gen_grid_lines(3).to_obj(), complex_lines.to_obj()]
+
+
+class TestReading:
+    """`Configuration.from_obj` parses each distinct string once per load."""
+
+    @pytest.mark.parametrize("obj", repeated_strings(), ids=["grid", "complex"])
+    def test_reads_as_one_fraction_per_string(self, obj):
+        config, reference = Configuration.from_obj(obj), fraction_reading(obj)
+        assert config.points == reference.points
+        assert config.curves == reference.curves
+        assert config.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize("obj", repeated_strings(), ids=["grid", "complex"])
+    def test_equal_strings_share_one_object_within_a_load(self, obj):
+        objects = collections.defaultdict(set)
+        for text, value in read_strings(obj, Configuration.from_obj(obj)):
+            objects[text].add(id(value))
+        counts = collections.Counter(text for text, _ in read_strings(obj, fraction_reading(obj)))
+        assert max(counts.values()) > 1
+        assert all(len(ids) == 1 for ids in objects.values())
+
+    @pytest.mark.parametrize("obj", repeated_strings(), ids=["grid", "complex"])
+    def test_two_loads_share_no_object(self, obj):
+        first, again = (Configuration.from_obj(obj) for _ in range(2))
+        ids = {id(value) for _, value in read_strings(obj, first)}
+        assert ids.isdisjoint(id(value) for _, value in read_strings(obj, again))
+
+    @pytest.mark.parametrize("text, error", [
+        ("1/0", ZeroDivisionError), ("1/2/3", ValueError), ("", ValueError)])
+    def test_a_malformed_string_raises_at_every_occurrence(self, text, error):
+        memo = {}
+        with pytest.raises(error) as first:
+            poly.coef_from_obj(text, memo)
+        with pytest.raises(error) as again:
+            poly.coef_from_obj({"re": "1/2", "im": text}, memo)
+        assert str(first.value) == str(again.value) and text not in memo
+        obj = gen_grid_lines(2).to_obj()
+        obj["points"][1][0] = obj["points"][3][1] = text
+        with pytest.raises(error, match=re.escape(str(first.value))):
+            Configuration.from_obj(obj)
