@@ -33,8 +33,12 @@ class Hang(BaseException):
 
 def _paths(obj, prefix=()):
     """Every path of keys and indices below the root of a JSON value."""
-    children = obj.items() if isinstance(obj, dict) else enumerate(obj) \
-        if isinstance(obj, list) else ()
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
     for key, value in children:
         yield prefix + (key,)
         yield from _paths(value, prefix + (key,))
@@ -62,9 +66,9 @@ def _on_alarm(signum, frame):
 
 @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
 @pytest.mark.parametrize("family, commands", [
-    (["grid-lines", "--n", "2"], [["count"], ["certify", "--k", "2", "--s", "1"]]),
+    (["grid-lines", "--n", "2"], [["count", "{}"], ["certify", "{}", "--k", "2", "--s", "1"]]),
     (["leaf", "--g", "z1^2", "--count", "2"],
-     [["foliate", "--hypersurface", "{file}", "--curves", "{file}"], ["count"]]),
+     [["foliate", "--hypersurface", "{}", "--curves", "{}"], ["count", "{}"]]),
 ], ids=["grid", "leaf"])
 def test_mutated_files_are_answered_or_rejected(tmp_path, monkeypatch, capsys, family,
                                                 commands):
@@ -75,15 +79,11 @@ def test_mutated_files_are_answered_or_rejected(tmp_path, monkeypatch, capsys, f
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     problems = []
     try:
-        for k in range(MUTATIONS_PER_FILE):
+        for _ in range(MUTATIONS_PER_FILE):
             obj, change = mutate(base, rng)
             Path("mutated.json").write_text(json.dumps(obj))
             for command in commands:
-                if "{file}" in command:
-                    argv = [a.format(file="mutated.json") for a in command]
-                else:
-                    argv = [command[0], "mutated.json", *command[1:]]
-                argv += ["--out", "out.json"]
+                argv = [a.format("mutated.json") for a in command] + ["--out", "out.json"]
                 signal.alarm(ALARM_S)
                 try:
                     code = main(argv)

@@ -216,8 +216,8 @@ def mixed_supports(field):
 
 
 def pencils():
-    """Configurations whose curves fall into pencils: curves that differ in
-    the constant term alone, each with incidences at its points."""
+    """Configurations whose curves fall into pencils, curves that differ in
+    the constant term alone, with incidences on two or more curves."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     c = MultiPoly.constant
     grid = gen_grid_lines(3)
